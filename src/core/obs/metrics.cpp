@@ -1,5 +1,7 @@
 #include "core/obs/metrics.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <bit>
 #include <sstream>
@@ -18,6 +20,21 @@ MetricsRegistry& MetricsRegistry::instance() {
   (void)cpu_probe_installed;
   return *registry;
 }
+
+// Registered during static initialization, while the process has one
+// thread, and not by the constructor. pthread_atfork waits for a fork() in
+// progress, so a constructor registering them would wait inside
+// instance()'s one-time initialization while another thread forks, and
+// the child, inheriting that initialization as in progress, would wait on
+// it forever at its first counter. Registered here, the prepare handler's
+// own instance() call waits out a construction in progress before forking.
+const int MetricsRegistry::fork_handlers_registered_ =
+    pthread_atfork(&MetricsRegistry::lock_for_fork, &MetricsRegistry::unlock_after_fork,
+                   &MetricsRegistry::unlock_after_fork);
+
+void MetricsRegistry::lock_for_fork() { instance().mutex_.lock(); }
+
+void MetricsRegistry::unlock_after_fork() { instance().mutex_.unlock(); }
 
 MetricsRegistry::Shard* MetricsRegistry::register_shard() {
   std::lock_guard<std::mutex> lock(mutex_);

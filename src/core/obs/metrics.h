@@ -147,6 +147,12 @@ class MetricsRegistry {
 
   Shard& local_shard();
   Shard* register_shard();
+  /// pthread_atfork handlers: hold mutex_ across fork() so neither
+  /// process inherits it locked by a thread that exists only in the other.
+  static void lock_for_fork();
+  static void unlock_after_fork();
+  /// pthread_atfork's result for the handlers above; see the .cpp.
+  static const int fork_handlers_registered_;
   std::size_t intern(std::vector<std::string>& names, std::size_t limit, std::string_view name,
                      const char* kind);
 

@@ -1,5 +1,7 @@
 #include "core/obs/trace.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
@@ -27,6 +29,15 @@ Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {
     std::atexit(&autodump_at_exit);
   }
 }
+
+// Registered during static initialization, while the process has one
+// thread, and not by the constructor: see MetricsRegistry.
+const int Tracer::fork_handlers_registered_ =
+    pthread_atfork(&Tracer::lock_for_fork, &Tracer::unlock_after_fork, &Tracer::unlock_after_fork);
+
+void Tracer::lock_for_fork() { instance().mutex_.lock(); }
+
+void Tracer::unlock_after_fork() { instance().mutex_.unlock(); }
 
 Tracer& Tracer::instance() {
   static Tracer* tracer = new Tracer();  // never destroyed; see MetricsRegistry.

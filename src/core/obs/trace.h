@@ -96,6 +96,12 @@ class Tracer {
 
   Ring& local_ring();
   Ring* register_ring();
+  /// pthread_atfork handlers: hold mutex_ across fork() so neither
+  /// process inherits it locked by a thread that exists only in the other.
+  static void lock_for_fork();
+  static void unlock_after_fork();
+  /// pthread_atfork's result for the handlers above; see the .cpp.
+  static const int fork_handlers_registered_;
 
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool> enabled_{false};

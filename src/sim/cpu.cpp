@@ -16,8 +16,7 @@ Cpu::Cpu(CpuConfig config, Bus& bus)
     : config_(config),
       bus_(&bus),
       mmu_(bus.memory(), config.tlb),
-      predictor_(config.predictor),
-      backend_(dispatch_backend_from_env()) {}
+      predictor_(config.predictor) {}
 
 void Cpu::load_program(const Program& program, std::optional<Asid> asid) {
   dirty_ = true;
@@ -82,33 +81,8 @@ void Cpu::rebuild_fetch_table() const {
 }
 
 const Instruction* Cpu::instruction_at(VirtAddr pc) const {
-  if (!fetch_valid_ || fetch_asid_ != mmu_.asid()) {
-    rebuild_fetch_table();
-  }
-  if (fetch_flat_ok_) {
-    const VirtAddr off = pc - fetch_lo_;  // below-lo pcs wrap to huge offsets.
-    if ((off & 3u) == 0 && (off >> 2) < fetch_slots_.size()) {
-      const std::uint32_t p = fetch_slots_[off >> 2];
-      if (p != kNoSlot) {
-        const LoadedProgram& lp = programs_[p];
-        return &lp.decoded->code[(pc - lp.base) / 4];
-      }
-    }
-    return nullptr;
-  }
-  // Fallback: the original load-order scan (misaligned/spread-out programs).
-  for (const LoadedProgram& lp : programs_) {
-    if (pc < lp.base || pc >= lp.end) {
-      continue;
-    }
-    if (lp.asid.has_value() && *lp.asid != mmu_.asid()) {
-      continue;
-    }
-    if (const Instruction* inst = lp.decoded->at(pc)) {
-      return inst;
-    }
-  }
-  return nullptr;
+  const LoadedProgram* lp = program_at(pc);
+  return lp != nullptr ? &lp->decoded->code[(pc - lp->base) / 4] : nullptr;
 }
 
 void Cpu::switch_context(DomainId domain, Privilege priv, PhysAddr page_root, Asid asid) {
@@ -119,19 +93,6 @@ void Cpu::switch_context(DomainId domain, Privilege priv, PhysAddr page_root, As
   // (load_program / clear_programs invalidate) and the active ASID, and
   // every consumer re-checks fetch_asid_ against mmu_.asid() before use —
   // so a context switch back to the same address space keeps the table.
-}
-
-void Cpu::leak_value(Word value) {
-  if (has_leak_) {
-    leak_(value);
-  }
-}
-
-Word Cpu::alu_result(Word value) {
-  if (injector_ != nullptr) {
-    return injector_->corrupt(value);
-  }
-  return value;
 }
 
 void Cpu::note_service(ServiceLevel level) {
@@ -159,68 +120,18 @@ void Cpu::check_watchdog(std::uint64_t executed) const {
   }
 }
 
-RunResult Cpu::run_switch(std::uint64_t max_instructions) {
-  RunResult result;
-  while (result.executed < max_instructions) {
-    if (watchdog_ != nullptr) {
-      check_watchdog(result.executed);
-    }
-    const StepOutcome outcome = step();
-    ++result.executed;
-    if (outcome.halt) {
-      result.halted = true;
-      break;
-    }
-    if (outcome.fault_stop) {
-      result.stop_fault = outcome.fault;
-      break;
-    }
-  }
-  return result;
-}
-
 RunResult Cpu::run(std::uint64_t max_instructions) {
   dirty_ = true;
   RunResult result;
-  // The MPU (prev_fetch_phys_-relative execute gates) and the glitch
-  // injector thread through every committed value; both are rare,
-  // embedded-profile features, so they keep the legacy interpreter rather
-  // than a third micro-op specialization.
-  if (backend_ == DispatchBackend::kSwitch || mpu_ != nullptr || injector_ != nullptr) {
-    result = run_switch(max_instructions);
-    HWSEC_OBS_CPU_COMMITTED(result.executed);
-    return result;
-  }
-  bool force_step = false;
   while (result.executed < max_instructions) {
-    if (force_step) {
-      // One instruction through the generic interpreter: ecalls (whose
-      // handlers may swap programs, hooks, or the whole context) and pcs
-      // the flat fetch table cannot resolve. Afterwards re-evaluate which
-      // micro-op specialization applies.
-      force_step = false;
-      if (watchdog_ != nullptr) {
-        check_watchdog(result.executed);
-      }
-      const StepOutcome outcome = step();
-      ++result.executed;
-      if (outcome.halt) {
-        result.halted = true;
-        break;
-      }
-      if (outcome.fault_stop) {
-        result.stop_fault = outcome.fault;
-        break;
-      }
-      continue;
-    }
-    const bool hooked = has_leak_ || has_cf_hook_ || watchdog_ != nullptr;
+    // Re-evaluated after every fault handler and ecall: either may arm
+    // hooks, swap programs or switch context.
+    const bool hooked = has_leak_ || has_cf_hook_ || watchdog_ != nullptr || mpu_ != nullptr;
     const UopExit exit = hooked ? run_uops<true>(result, max_instructions)
                                 : run_uops<false>(result, max_instructions);
     if (exit == UopExit::kDone) {
       break;
     }
-    force_step = exit == UopExit::kStep;
   }
   // Compile-time no-op unless HWSEC_OBS_CPU is ON: the commit loop's
   // instruction count is observable without a single instruction of cost
@@ -234,21 +145,21 @@ RunResult Cpu::run_from(VirtAddr entry, std::uint64_t max_instructions) {
   return run(max_instructions);
 }
 
-Cpu::StepOutcome Cpu::raise(const FaultInfo& info) {
+bool Cpu::raise(const FaultInfo& info) {
   ++stats_.faults_raised;
   if (!fault_handler_) {
-    return {.halt = false, .fault_stop = true, .fault = info.fault};
+    return true;
   }
   switch (fault_handler_(*this, info)) {
     case FaultAction::kHalt:
-      return {.halt = false, .fault_stop = true, .fault = info.fault};
+      return true;
     case FaultAction::kSkip:
       pc_ = info.pc + 4;
-      return {};
+      return false;
     case FaultAction::kRedirect:
-      return {};  // handler set pc_ itself.
+      return false;  // handler set pc_ itself.
   }
-  return {};
+  return false;
 }
 
 std::optional<Word> Cpu::transient_fault_value(const TranslateResult& tr, VirtAddr va,
@@ -424,263 +335,6 @@ void Cpu::run_transient(VirtAddr start_pc, std::optional<Reg> seed_reg, Word see
     }
     tpc = next;
   }
-}
-
-Cpu::StepOutcome Cpu::step() {
-  const VirtAddr pc = pc_;
-
-  // ---- fetch ------------------------------------------------------------
-  const TranslateResult ftr = mmu_.translate(pc, AccessType::kExecute);
-  cycles_ += ftr.latency;
-  if (ftr.fault != Fault::kNone) {
-    return raise({.fault = ftr.fault, .pc = pc, .addr = pc, .type = AccessType::kExecute});
-  }
-  if (mpu_ != nullptr) {
-    const Fault f = mpu_->check_fetch(ftr.phys, prev_fetch_phys_);
-    if (f != Fault::kNone) {
-      return raise({.fault = f, .pc = pc, .addr = pc, .type = AccessType::kExecute});
-    }
-  }
-  const BusResult fetch = bus_->cpu_fetch(config_.id, mmu_.domain(), mmu_.privilege(), ftr.phys);
-  cycles_ += fetch.latency;
-  if (fetch.fault != Fault::kNone) {
-    return raise({.fault = fetch.fault, .pc = pc, .addr = pc, .type = AccessType::kExecute});
-  }
-  const Instruction* inst = instruction_at(pc);
-  if (inst == nullptr) {
-    return raise({.fault = Fault::kBusError, .pc = pc, .addr = pc, .type = AccessType::kExecute});
-  }
-  prev_fetch_phys_ = ftr.phys;
-  ++stats_.retired;
-
-  VirtAddr next_pc = pc + 4;
-  StepOutcome outcome;
-
-  auto commit_alu = [&](Reg rd, Word value) {
-    const Word v = alu_result(value);
-    set_reg(rd, v);
-    leak_value(v);
-    cycles_ += config_.alu_latency;
-  };
-
-  switch (inst->op) {
-    case Opcode::kNop:
-      cycles_ += config_.alu_latency;
-      break;
-    case Opcode::kHalt:
-      outcome.halt = true;
-      return outcome;
-    case Opcode::kLoadImm: commit_alu(inst->rd, static_cast<Word>(inst->imm)); break;
-    case Opcode::kAdd: commit_alu(inst->rd, reg(inst->rs1) + reg(inst->rs2)); break;
-    case Opcode::kSub: commit_alu(inst->rd, reg(inst->rs1) - reg(inst->rs2)); break;
-    case Opcode::kAnd: commit_alu(inst->rd, reg(inst->rs1) & reg(inst->rs2)); break;
-    case Opcode::kOr: commit_alu(inst->rd, reg(inst->rs1) | reg(inst->rs2)); break;
-    case Opcode::kXor: commit_alu(inst->rd, reg(inst->rs1) ^ reg(inst->rs2)); break;
-    case Opcode::kShl: commit_alu(inst->rd, reg(inst->rs1) << (reg(inst->rs2) & 31u)); break;
-    case Opcode::kShr: commit_alu(inst->rd, reg(inst->rs1) >> (reg(inst->rs2) & 31u)); break;
-    case Opcode::kMul: commit_alu(inst->rd, reg(inst->rs1) * reg(inst->rs2)); break;
-    case Opcode::kAddImm: commit_alu(inst->rd, reg(inst->rs1) + static_cast<Word>(inst->imm)); break;
-    case Opcode::kAndImm: commit_alu(inst->rd, reg(inst->rs1) & static_cast<Word>(inst->imm)); break;
-    case Opcode::kXorImm: commit_alu(inst->rd, reg(inst->rs1) ^ static_cast<Word>(inst->imm)); break;
-    case Opcode::kShlImm:
-      commit_alu(inst->rd, reg(inst->rs1) << (static_cast<Word>(inst->imm) & 31u));
-      break;
-    case Opcode::kShrImm:
-      commit_alu(inst->rd, reg(inst->rs1) >> (static_cast<Word>(inst->imm) & 31u));
-      break;
-
-    case Opcode::kLoad:
-    case Opcode::kLoadByte: {
-      const bool byte_load = inst->op == Opcode::kLoadByte;
-      const VirtAddr va = reg(inst->rs1) + static_cast<Word>(inst->imm);
-      if (!byte_load && (va & 3u)) {
-        return raise({.fault = Fault::kAlignment, .pc = pc, .addr = va, .type = AccessType::kRead});
-      }
-      const TranslateResult tr = mmu_.translate(va, AccessType::kRead);
-      cycles_ += tr.latency;
-      if (tr.fault != Fault::kNone) {
-        // Meltdown / L1TF: dependents execute transiently with the
-        // forwarded value before the exception is raised at retirement.
-        if (config_.speculative_execution) {
-          if (const auto forwarded = transient_fault_value(tr, va, byte_load)) {
-            run_transient(pc + 4, inst->rd, *forwarded);
-          }
-        }
-        return raise({.fault = tr.fault, .pc = pc, .addr = va, .type = AccessType::kRead});
-      }
-      if (mpu_ != nullptr) {
-        const Fault f = mpu_->check(tr.phys, AccessType::kRead, prev_fetch_phys_);
-        if (f != Fault::kNone) {
-          return raise({.fault = f, .pc = pc, .addr = va, .type = AccessType::kRead});
-        }
-      }
-      const BusResult br = byte_load
-          ? bus_->cpu_read8(config_.id, mmu_.domain(), mmu_.privilege(), tr.phys)
-          : bus_->cpu_read(config_.id, mmu_.domain(), mmu_.privilege(), tr.phys);
-      cycles_ += br.latency;
-      if (br.fault != Fault::kNone) {
-        return raise({.fault = br.fault, .pc = pc, .addr = va, .type = AccessType::kRead});
-      }
-      ++stats_.loads;
-      note_service(br.level);
-      set_reg(inst->rd, br.value);
-      leak_value(br.value);
-      break;
-    }
-
-    case Opcode::kStore:
-    case Opcode::kStoreByte: {
-      const bool byte_store = inst->op == Opcode::kStoreByte;
-      const VirtAddr va = reg(inst->rs1) + static_cast<Word>(inst->imm);
-      if (!byte_store && (va & 3u)) {
-        return raise(
-            {.fault = Fault::kAlignment, .pc = pc, .addr = va, .type = AccessType::kWrite});
-      }
-      const TranslateResult tr = mmu_.translate(va, AccessType::kWrite);
-      cycles_ += tr.latency;
-      if (tr.fault != Fault::kNone) {
-        return raise({.fault = tr.fault, .pc = pc, .addr = va, .type = AccessType::kWrite});
-      }
-      if (mpu_ != nullptr) {
-        const Fault f = mpu_->check(tr.phys, AccessType::kWrite, prev_fetch_phys_);
-        if (f != Fault::kNone) {
-          return raise({.fault = f, .pc = pc, .addr = va, .type = AccessType::kWrite});
-        }
-      }
-      const Word value = reg(inst->rs2);
-      const BusResult br = byte_store
-          ? bus_->cpu_write8(config_.id, mmu_.domain(), mmu_.privilege(), tr.phys,
-                             static_cast<std::uint8_t>(value))
-          : bus_->cpu_write(config_.id, mmu_.domain(), mmu_.privilege(), tr.phys, value);
-      cycles_ += br.latency;
-      if (br.fault != Fault::kNone) {
-        return raise({.fault = br.fault, .pc = pc, .addr = va, .type = AccessType::kWrite});
-      }
-      ++stats_.stores;
-      note_service(br.level);
-      leak_value(value);
-      break;
-    }
-
-    case Opcode::kBranch: {
-      const Word a = reg(inst->rs1);
-      const Word b = reg(inst->rs2);
-      bool taken = false;
-      switch (inst->cond) {
-        case BranchCond::kEq: taken = a == b; break;
-        case BranchCond::kNe: taken = a != b; break;
-        case BranchCond::kLt:
-          taken = static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b);
-          break;
-        case BranchCond::kGe:
-          taken = static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b);
-          break;
-        case BranchCond::kLtu: taken = a < b; break;
-        case BranchCond::kGeu: taken = a >= b; break;
-      }
-      const VirtAddr target = static_cast<VirtAddr>(inst->imm);
-      cycles_ += config_.alu_latency;
-      if (config_.speculative_execution) {
-        const bool predicted = predictor_.pht().predict(pc);
-        if (predicted != taken) {
-          ++stats_.branch_mispredicts;
-          run_transient(predicted ? target : pc + 4, std::nullopt, 0);
-          cycles_ += config_.mispredict_penalty;
-        }
-      }
-      predictor_.pht().update(pc, taken);
-      next_pc = taken ? target : pc + 4;
-      break;
-    }
-
-    case Opcode::kJump:
-      cycles_ += config_.alu_latency;
-      next_pc = static_cast<VirtAddr>(inst->imm);
-      break;
-
-    case Opcode::kJumpInd:
-    case Opcode::kCallInd: {
-      const VirtAddr actual = reg(inst->rs1);
-      cycles_ += config_.alu_latency;
-      if (config_.speculative_execution) {
-        if (const auto predicted = predictor_.btb().predict(pc);
-            predicted.has_value() && *predicted != actual) {
-          ++stats_.indirect_mispredicts;
-          run_transient(*predicted, std::nullopt, 0);
-          cycles_ += config_.mispredict_penalty;
-        }
-      }
-      predictor_.btb().update(pc, actual);
-      if (inst->op == Opcode::kCallInd) {
-        set_reg(kLink, pc + 4);
-        predictor_.rsb().push(pc + 4);
-      }
-      next_pc = actual;
-      break;
-    }
-
-    case Opcode::kCall:
-      cycles_ += config_.alu_latency;
-      set_reg(kLink, pc + 4);
-      predictor_.rsb().push(pc + 4);
-      next_pc = static_cast<VirtAddr>(inst->imm);
-      break;
-
-    case Opcode::kRet: {
-      const VirtAddr actual = reg(kLink);
-      cycles_ += config_.alu_latency;
-      if (config_.speculative_execution) {
-        if (const auto predicted = predictor_.rsb().pop();
-            predicted.has_value() && *predicted != actual) {
-          ++stats_.return_mispredicts;
-          run_transient(*predicted, std::nullopt, 0);
-          cycles_ += config_.mispredict_penalty;
-        }
-      } else {
-        predictor_.rsb().pop();
-      }
-      next_pc = actual;
-      break;
-    }
-
-    case Opcode::kFence:
-      cycles_ += 3;
-      break;
-
-    case Opcode::kClflush: {
-      const VirtAddr va = reg(inst->rs1) + static_cast<Word>(inst->imm);
-      const TranslateResult tr = mmu_.translate(va, AccessType::kRead);
-      cycles_ += tr.latency;
-      if (tr.fault != Fault::kNone) {
-        return raise({.fault = tr.fault, .pc = pc, .addr = va, .type = AccessType::kRead});
-      }
-      bus_->caches().flush_line(tr.phys);
-      cycles_ += 10;
-      break;
-    }
-
-    case Opcode::kRdCycle:
-      set_reg(inst->rd, static_cast<Word>(cycles_));
-      cycles_ += config_.alu_latency;
-      break;
-
-    case Opcode::kEcall: {
-      cycles_ += 20;  // trap entry cost.
-      pc_ = pc + 4;
-      if (!ecall_) {
-        outcome.halt = true;
-        return outcome;
-      }
-      ecall_(*this, static_cast<Word>(inst->imm));
-      return outcome;  // handler controls pc_ from here.
-    }
-  }
-
-  if (has_cf_hook_ && is_control_flow(inst->op) && inst->op != Opcode::kHalt) {
-    cf_hook_(pc, next_pc);
-  }
-  pc_ = next_pc;
-  return outcome;
 }
 
 }  // namespace hwsec::sim

@@ -1,25 +1,26 @@
-// Micro-op commit loop (the HWSEC_DISPATCH=uops backend) and backend
-// selection.
+// The commit loop: Cpu::run_uops, the one interpreter of committed
+// instructions, and the program lookup it shares with the transient-window
+// executor.
 //
-// Cpu::run_uops executes predecoded micro-ops with computed-goto threaded
-// dispatch on GCC/Clang (a plain switch elsewhere — same handler bodies,
-// selected by the UOP_LABEL macro). The handlers are exact transcriptions
-// of the corresponding cases in Cpu::step(): every cycle add, stats
-// increment, predictor update and hook invocation happens in the same
-// order, which is what the conformance fuzzer's uops-vs-switch
-// differential verifies.
+// run_uops executes predecoded micro-ops with computed-goto threaded
+// dispatch on GCC/Clang. Elsewhere the same handler bodies compile as a
+// plain switch, selected by the UOP_LABEL macro; that is the portability
+// path. Fault, cycle, stats, predictor and hook ordering is pinned by the
+// recorded observations in tests/golden/cpu_observed.json, and the
+// conformance fuzzer diffs it against the independent reference
+// interpreter (src/conformance/reference.cpp).
 //
 // The loop leans on three structural guarantees:
 //  * pc_ is canonical: read at the top of every instruction, written on
 //    every commit, and materialized before any host code (fault handlers,
-//    thrown watchdog errors) can observe it — so handlers see exactly the
-//    state the legacy interpreter would show them.
-//  * anything the micro-op core cannot replay bit-exactly defers to the
-//    generic interpreter for one instruction (UopExit::kStep): ecalls,
-//    pcs the flat fetch table cannot resolve, non-flat program layouts.
-//  * after any fault handler runs (UopExit::kResync) the caller
-//    re-evaluates the hook configuration before re-entering, because
-//    handlers may arm hooks, swap programs, or switch context.
+//    ecall handlers, thrown watchdog errors) can observe it.
+//  * a pc with no instruction behind it still takes the full fetch path
+//    (translate, MPU execute gate, bus fetch) and only then raises
+//    kBusError, so its fetch-side faults, cycles and cache effects come
+//    first.
+//  * after any fault handler or ecall handler runs (UopExit::kResync) the
+//    caller re-evaluates the hook configuration before re-entering,
+//    because handlers may arm hooks, swap programs, or switch context.
 //
 // The fetch memo is the per-instruction win: once a pc has fetched through
 // a TLB hit + L1I hit (or has just filled both), the memo replays the hit
@@ -30,31 +31,30 @@
 // any two instructions — plus a packed context word (ASID, domain,
 // privilege, bus-firewall presence) that covers the translation predicate.
 
-#include "sim/dispatch.h"
-
-#include <cstdlib>
-
 #include "sim/cpu.h"
 
 namespace hwsec::sim {
 
-std::string to_string(DispatchBackend backend) {
-  switch (backend) {
-    case DispatchBackend::kUops: return "uops";
-    case DispatchBackend::kSwitch: return "switch";
+const Cpu::LoadedProgram* Cpu::program_at(VirtAddr pc) const {
+  if (!fetch_valid_ || fetch_asid_ != mmu_.asid()) {
+    rebuild_fetch_table();
   }
-  return "?";
-}
-
-DispatchBackend dispatch_backend_from_env() {
-  static const DispatchBackend resolved = [] {
-    const char* env = std::getenv("HWSEC_DISPATCH");
-    if (env != nullptr && std::string(env) == "switch") {
-      return DispatchBackend::kSwitch;
+  if (fetch_flat_ok_) {
+    const VirtAddr off = pc - fetch_lo_;  // below-lo pcs wrap to huge offsets.
+    if ((off & 3u) != 0 || (off >> 2) >= fetch_slots_.size()) {
+      return nullptr;
     }
-    return DispatchBackend::kUops;
-  }();
-  return resolved;
+    const std::uint32_t p = fetch_slots_[off >> 2];
+    return p == kNoSlot ? nullptr : &programs_[p];
+  }
+  // Misaligned or spread-out programs: load-order scan, first match wins.
+  for (const LoadedProgram& lp : programs_) {
+    if (pc >= lp.base && pc < lp.end && (pc - lp.base) % 4 == 0 &&
+        (!lp.asid.has_value() || *lp.asid == mmu_.asid())) {
+      return &lp;
+    }
+  }
+  return nullptr;
 }
 
 // Computed-goto dispatch where the extension exists; identical handler
@@ -63,29 +63,33 @@ DispatchBackend dispatch_backend_from_env() {
 #if defined(__GNUC__) || defined(__clang__)
 #define HWSEC_UOP_GOTO 1
 #define UOP_LABEL(k) u_##k:
-#define UOP_DEFAULT
 #else
 #define HWSEC_UOP_GOTO 0
 #define UOP_LABEL(k) case UopKind::k:
-#define UOP_DEFAULT \
-  default: return UopExit::kStep;
 #endif
 
-// Raises a fault exactly as the legacy run loop would observe it: the
-// faulting instruction counts as executed, a kHalt action ends the run,
-// and any continue action forces a resync (the handler may have changed
-// hooks, programs, or context).
-#define UOP_RAISE(f, a, t)                                                      \
-  do {                                                                          \
-    pc_ = pc;                                                                   \
-    const StepOutcome ro =                                                      \
-        raise({.fault = (f), .pc = pc, .addr = (a), .type = (t)});              \
-    ++result.executed;                                                          \
-    if (ro.fault_stop) {                                                        \
-      result.stop_fault = ro.fault;                                             \
-      return UopExit::kDone;                                                    \
-    }                                                                           \
-    return UopExit::kResync;                                                    \
+// Raises a fault: the faulting instruction counts as executed, a kHalt
+// action ends the run, and any continue action forces a resync (the
+// handler may have changed hooks, programs, or context).
+#define UOP_RAISE(f, a, t)                                                  \
+  do {                                                                      \
+    pc_ = pc;                                                               \
+    const FaultInfo info{.fault = (f), .pc = pc, .addr = (a), .type = (t)}; \
+    ++result.executed;                                                      \
+    if (raise(info)) {                                                      \
+      result.stop_fault = info.fault;                                       \
+      return UopExit::kDone;                                                \
+    }                                                                       \
+    return UopExit::kResync;                                                \
+  } while (0)
+
+// Raises the fault an MPU gate returned, if any.
+#define UOP_GATE(check, a, t)   \
+  do {                          \
+    const Fault gate = (check); \
+    if (gate != Fault::kNone) { \
+      UOP_RAISE(gate, a, t);    \
+    }                           \
   } while (0)
 
 template <bool Hooked>
@@ -108,59 +112,45 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
 
   while (result.executed < max_instructions) {
     if constexpr (Hooked) {
-      // Same committed-instruction schedule as the legacy loop: the cycle
-      // budget is checked before every instruction and the asynchronous
-      // cancel flag is polled when (executed & 0x3FF) == 0, so TimedOut
-      // attribution is identical across backends. (Unhooked runs have no
-      // watchdog by construction — arming one selects Hooked.)
+      // The cycle budget is checked before every instruction and the
+      // asynchronous cancel flag is polled when (executed & 0x3FF) == 0.
+      // (Unhooked runs have no watchdog by construction — arming one
+      // selects Hooked.)
       if (watchdog_ != nullptr) {
         check_watchdog(result.executed);
       }
     }
-    if (!fetch_valid_ || fetch_asid_ != mmu_.asid()) {
-      rebuild_fetch_table();
-    }
-    if (!fetch_flat_ok_) {
-      return UopExit::kStep;  // misaligned/spread-out programs: legacy scan.
-    }
     const VirtAddr pc = pc_;
 
     // ---- resolve the micro-op (pure lookup, no side effects) -----------
-    const Uop* u = nullptr;
-    {
-      const VirtAddr off = pc - fetch_lo_;  // below-lo pcs wrap to huge offsets.
-      if ((off & 3u) == 0 && (off >> 2) < fetch_slots_.size()) {
-        const std::uint32_t p = fetch_slots_[off >> 2];
-        if (p != kNoSlot) {
-          const LoadedProgram& lp = programs_[p];
-          u = &lp.decoded->uops[(pc - lp.base) >> 2];
-        }
-      }
-    }
-    if (u == nullptr || u->kind == UopKind::kEcall) {
-      // Unresolvable pc: step() owns the fault ordering (translate and
-      // fetch fault before the missing-instruction bus error). Ecall:
-      // the handler may mutate anything, so the generic path runs it.
-      return UopExit::kStep;
-    }
+    const LoadedProgram* lp = program_at(pc);
+    const Uop* u = lp != nullptr ? &lp->decoded->uops[(pc - lp->base) >> 2] : nullptr;
 
     // ---- fetch ----------------------------------------------------------
     const DomainId domain = mmu_.domain();
     const std::uint64_t ctx = fetch_ctx();
     FetchMemo& memo = fetch_memo_[(pc >> 2) & (kFetchMemoSlots - 1)];
-    if (memo.pc == pc && memo.ctx == ctx && memo.tlb_epoch == tlb.removal_epoch() &&
-        memo.l1i_epoch == l1i->removal_epoch() &&
+    PhysAddr fetch_phys = 0;
+    // Only a resolved pc replays, so a never-armed slot's sentinel pc
+    // cannot match on a core without an L1I.
+    if (u != nullptr && memo.pc == pc && memo.ctx == ctx &&
+        memo.tlb_epoch == tlb.removal_epoch() && memo.l1i_epoch == l1i->removal_epoch() &&
         memo.excl_epoch == caches.exclusion_epoch()) {
       // Bit-exact replay of the TLB-hit + L1I-hit fetch path.
       tlb.repeat_hit(memo.tlb_index);
       l1i->repeat_hit(memo.l1i_set, memo.l1i_way, domain);
       cycles_ += memo.latency;
-      prev_fetch_phys_ = memo.phys;
+      fetch_phys = memo.phys;
     } else {
       const TranslateResult ftr = mmu_.translate(pc, AccessType::kExecute);
       cycles_ += ftr.latency;
       if (ftr.fault != Fault::kNone) {
         UOP_RAISE(ftr.fault, pc, AccessType::kExecute);
+      }
+      if constexpr (Hooked) {
+        if (mpu_ != nullptr) {
+          UOP_GATE(mpu_->check_fetch(ftr.phys, prev_fetch_phys_), pc, AccessType::kExecute);
+        }
       }
       const BusResult fetch =
           bus_->cpu_fetch(config_.id, domain, mmu_.privilege(), ftr.phys);
@@ -168,11 +158,11 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
       if (fetch.fault != Fault::kNone) {
         UOP_RAISE(fetch.fault, pc, AccessType::kExecute);
       }
-      prev_fetch_phys_ = ftr.phys;
+      fetch_phys = ftr.phys;
       // Arm the memo: after a successful cacheable fetch the translation
       // sits in the TLB and the line in the L1I, so the *next* execution
       // of this pc takes the hit path the memo replays.
-      if (l1i != nullptr && !mmu_.bare_mode() && (ctx & 1u) == 0 &&
+      if (mpu_ == nullptr && l1i != nullptr && !mmu_.bare_mode() && (ctx & 1u) == 0 &&
           fetch.level != ServiceLevel::kUncached) {
         const auto tlb_index = tlb.find_index(pc, mmu_.asid());
         const auto l1i_way = l1i->find_way(ftr.phys, domain);
@@ -192,13 +182,16 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
         }
       }
     }
+    if (u == nullptr) {
+      UOP_RAISE(Fault::kBusError, pc, AccessType::kExecute);
+    }
+    prev_fetch_phys_ = fetch_phys;
     ++stats_.retired;
 
     VirtAddr next_pc = pc + 4;
 
-    // No injector on this backend (it forces the legacy interpreter), so
-    // a committed ALU result is the value itself. regs_[0] is invariantly
-    // zero (every write path guards kZero), so reads skip the guard.
+    // regs_[0] is invariantly zero (every write path guards kZero), so
+    // reads skip the guard.
     const auto commit_alu = [&](std::uint8_t rd, Word value) {
       if (rd != 0) {
         regs_[rd] = value;
@@ -222,8 +215,8 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
         goto u_commit;
       }
       UOP_LABEL(kHalt) {
-        // Legacy halt returns before the pc update: pc_ stays at the halt
-        // instruction, which it already does here (canonical pc_).
+        // Halt retires without a pc update: pc_ stays at the halt
+        // instruction (canonical pc_).
         ++result.executed;
         result.halted = true;
         return UopExit::kDone;
@@ -301,6 +294,12 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
           }
           UOP_RAISE(tr.fault, va, AccessType::kRead);
         }
+        if constexpr (Hooked) {
+          if (mpu_ != nullptr) {
+            UOP_GATE(mpu_->check(tr.phys, AccessType::kRead, prev_fetch_phys_), va,
+                     AccessType::kRead);
+          }
+        }
         const BusResult br = byte_load
             ? bus_->cpu_read8(config_.id, mmu_.domain(), mmu_.privilege(), tr.phys)
             : bus_->cpu_read(config_.id, mmu_.domain(), mmu_.privilege(), tr.phys);
@@ -331,6 +330,12 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
         cycles_ += tr.latency;
         if (tr.fault != Fault::kNone) {
           UOP_RAISE(tr.fault, va, AccessType::kWrite);
+        }
+        if constexpr (Hooked) {
+          if (mpu_ != nullptr) {
+            UOP_GATE(mpu_->check(tr.phys, AccessType::kWrite, prev_fetch_phys_), va,
+                     AccessType::kWrite);
+          }
         }
         const Word value = regs_[u->rs2];
         const BusResult br = byte_store
@@ -451,9 +456,16 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
         goto u_commit;
       }
       UOP_LABEL(kEcall) {
-        return UopExit::kStep;  // unreachable: filtered before dispatch.
+        cycles_ += 20;  // trap entry cost.
+        pc_ = pc + 4;
+        ++result.executed;
+        if (!ecall_) {
+          result.halted = true;
+          return UopExit::kDone;
+        }
+        ecall_(*this, u->imm);  // the handler controls pc_ from here.
+        return UopExit::kResync;
       }
-      UOP_DEFAULT
     }
 
   u_commit_cf:

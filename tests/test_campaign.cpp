@@ -16,7 +16,6 @@
 #include "core/machine_pool.h"
 #include "core/resilience/resilient.h"
 #include "sca/cpa.h"
-#include "sim/dispatch.h"
 #include "sim/machine.h"
 #include "sim/rng.h"
 #include "sim/thread_pool.h"
@@ -175,42 +174,47 @@ TEST(Campaign, AttackProbeTrialsBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(spectre_campaign(8), sequential);
 }
 
-// ---- dispatch-backend campaign identity --------------------------------
+// ---- pinned campaign outcomes ------------------------------------------
 
-std::vector<SpectreOutcome> spectre_campaign_backend(sim::DispatchBackend backend,
-                                                     core::MachinePool* pool) {
-  const auto outcomes = core::run_campaign_resilient<SpectreOutcome>(
+struct PinnedSpectreOutcome {
+  bool leaked = false;
+  std::uint32_t value = 0;
+  sim::Cycle cycles = 0;
+  std::uint64_t retired = 0;
+
+  bool operator==(const PinnedSpectreOutcome& o) const {
+    return leaked == o.leaked && value == o.value && cycles == o.cycles && retired == o.retired;
+  }
+};
+
+std::vector<PinnedSpectreOutcome> pinned_spectre_campaign(core::MachinePool* pool) {
+  const auto outcomes = core::run_campaign_resilient<PinnedSpectreOutcome>(
       {.seed = 7, .trials = 24, .workers = 1}, {.machines = pool},
-      [backend](const core::TrialContext& ctx) {
+      [](const core::TrialContext& ctx) {
         auto lease = core::acquire_machine(ctx.machines, sim::MachineProfile::mobile(), ctx.seed);
-        // Pool resets restore the env-selected default backend, so the
-        // override must be re-applied after every acquisition.
-        lease->cpu(0).set_dispatch_backend(backend);
         attacks::SpectreV1 spectre(*lease, 0);
         const sim::Word index = spectre.plant_secret("K");
         const auto byte = spectre.leak_byte(index);
-        return SpectreOutcome{byte.has_value() && *byte == 'K', byte.value_or(0xFFFF)};
+        return PinnedSpectreOutcome{byte.has_value() && *byte == 'K', byte.value_or(0xFFFF),
+                                    lease->cpu(0).cycles(), lease->cpu(0).stats().retired};
       });
-  std::vector<SpectreOutcome> results;
+  std::vector<PinnedSpectreOutcome> results;
   for (const auto& o : outcomes) {
     results.push_back(o.value());
   }
   return results;
 }
 
-/// Whole-campaign differential: the Spectre trial under the micro-op core
-/// must reproduce the legacy interpreter's outcome vector bit for bit —
-/// with and without the pooled decoded-program cache in the loop.
-TEST(Campaign, OutcomesBitIdenticalAcrossDispatchBackends) {
-  const auto uops = spectre_campaign_backend(sim::DispatchBackend::kUops, nullptr);
-  const auto legacy = spectre_campaign_backend(sim::DispatchBackend::kSwitch, nullptr);
-  ASSERT_EQ(uops.size(), 24u);
-  EXPECT_EQ(uops, legacy);
-
+/// Whole-campaign pin: the Spectre trial must reproduce, per trial, the
+/// outcome, cycle count and retired count that the per-step switch
+/// interpreter recorded before the micro-op core became the only commit
+/// loop, with and without the pooled decoded-program cache in the loop.
+TEST(Campaign, OutcomesBitIdenticalToPinnedSwitchInterpreterVector) {
+  const std::vector<PinnedSpectreOutcome> pinned(24, {true, 'K', 854, 58});
+  EXPECT_EQ(pinned_spectre_campaign(nullptr), pinned);
   core::MachinePool pool;
-  EXPECT_EQ(spectre_campaign_backend(sim::DispatchBackend::kUops, &pool), uops)
+  EXPECT_EQ(pinned_spectre_campaign(&pool), pinned)
       << "pooled machines (shared UopCache, snapshot reset-reuse) must not diverge";
-  EXPECT_EQ(spectre_campaign_backend(sim::DispatchBackend::kSwitch, &pool), legacy);
 }
 
 TEST(Campaign, ResultsLandInTrialOrder) {

@@ -4,9 +4,14 @@
 // perturb campaign determinism at any worker count.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -209,6 +214,130 @@ TEST(Tracer, ConcurrentWritersExportCleanly) {
   tracer.set_enabled(false);
   EXPECT_NE(tracer.export_json().find("test_mt_span"), std::string::npos);
   tracer.reset_for_test();
+}
+
+// ---- fork while other threads register ---------------------------------
+// A thread's first span registers its trace ring, and its first counter
+// its metrics shard, each under its registry's mutex. A fork() that lands
+// while another thread holds either mutex must not hand the child a mutex
+// locked by a thread that does not exist there. The forking thread has
+// never traced or counted, so the child's first span and counter register
+// fresh under both mutexes and would hang on an inherited lock.
+
+/// Waits up to `deadline` for `pid`; SIGKILLs and reaps it on timeout.
+/// Returns the wait status, or nullopt when the child hung.
+std::optional<int> wait_with_deadline(pid_t pid, std::chrono::milliseconds deadline) {
+  const auto until = std::chrono::steady_clock::now() + deadline;
+  int status = 0;
+  while (std::chrono::steady_clock::now() < until) {
+    if (::waitpid(pid, &status, WNOHANG) == pid) {
+      return status;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, &status, 0);
+  return std::nullopt;
+}
+
+TEST(ObsFork, ChildTracesAndCountsWhileParentThreadsKeepRegistering) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.reset_for_test();
+  tracer.set_enabled(true);
+  // Every churn thread leaves a ~640 KiB trace ring behind, so churn runs
+  // in one burst per fork rather than unbounded: ~30 MiB per run.
+  constexpr int kForks = 24;
+  constexpr int kSpawners = 2;
+  std::atomic<int> burst{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> spawners;
+  for (int s = 0; s < kSpawners; ++s) {
+    spawners.emplace_back([&] {
+      int seen = 0;
+      while (!stop.load()) {
+        if (burst.load() == seen) {
+          std::this_thread::yield();
+          continue;
+        }
+        seen = burst.load();
+        std::thread([] {
+          obs::Span span("fork_churn");
+          obs::counter("obs_fork_churn").add();
+        }).join();
+      }
+    });
+  }
+  int hung = 0;
+  int failed = 0;
+  std::thread([&] {
+    for (int f = 0; f < kForks; ++f) {
+      burst.fetch_add(1);
+      const pid_t pid = ::fork();
+      if (pid == 0) {
+        obs::Tracer::instance().set_enabled(true);
+        { obs::Span span("fork_child"); }
+        obs::counter("obs_fork_child").add();
+        ::_exit(0);
+      }
+      ASSERT_GT(pid, 0);
+      const std::optional<int> status = wait_with_deadline(pid, std::chrono::seconds(10));
+      if (!status.has_value()) {
+        ++hung;
+        break;  // one hang proves the defect; the rest would hang too.
+      }
+      if (!WIFEXITED(*status) || WEXITSTATUS(*status) != 0) {
+        ++failed;
+      }
+    }
+  }).join();
+  stop.store(true);
+  for (auto& s : spawners) {
+    s.join();
+  }
+  tracer.set_enabled(false);
+  tracer.reset_for_test();
+  EXPECT_EQ(hung, 0) << "children hung registering a trace ring or metrics shard";
+  EXPECT_EQ(failed, 0);
+}
+
+// The registries are built on first use. A fork() that lands while another
+// thread is still inside that first instance() call must not leave the
+// child waiting on the unfinished one-time initialization. Each attempt
+// needs a process whose registries do not exist yet, so it runs as a
+// re-executed death-test child: exit 0 when its own child finished, 3 when
+// that child hung.
+TEST(ObsFork, ChildUsesRegistriesWhoseFirstUseRacedTheFork) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    const bool tracer_first = attempt % 2 == 1;
+    EXPECT_EXIT(
+        {
+          std::atomic<bool> go{false};
+          std::thread first_user([&] {
+            while (!go.load()) {
+            }
+            if (tracer_first) {
+              obs::Tracer::instance().instant("obs_fork_first_use");
+            } else {
+              obs::counter("obs_fork_first_use").add();
+            }
+          });
+          go.store(true);
+          const pid_t pid = ::fork();
+          if (pid == 0) {
+            obs::Tracer::instance().set_enabled(true);
+            { obs::Span span("fork_child"); }
+            obs::counter("obs_fork_child").add();
+            ::_exit(0);
+          }
+          first_user.join();
+          const std::optional<int> status = wait_with_deadline(pid, std::chrono::seconds(10));
+          std::_Exit(status.has_value() && WIFEXITED(*status) && WEXITSTATUS(*status) == 0 ? 0
+                                                                                            : 3);
+        },
+        ::testing::ExitedWithCode(0), "")
+        << "attempt " << attempt << ": the child hung on a registry first used by another thread";
+  }
 }
 
 // ---- campaign determinism with observability on ------------------------

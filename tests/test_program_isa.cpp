@@ -2,6 +2,8 @@
 // semantics (every ALU op and branch condition, executed on a machine).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sim/isa.h"
 #include "sim/machine.h"
 #include "sim/program.h"
@@ -126,12 +128,20 @@ TEST_F(IsaExecTest, RegisterZeroIsHardwired) {
   EXPECT_EQ(run([](auto& b) { b.li(R::R0, 99).addi(R::R1, R::R0, 0); }, R::R1), 0u);
 }
 
+// gtest prints a parameter without a PrintTo as its raw bytes, padding
+// included, and ctest names each case after that print. Left implicit, the
+// padding held whatever the heap did, so case names changed from one test
+// listing to the next. It is spelled out here with the bytes the names were
+// first recorded with, so every build registers the same case names.
 struct BranchCase {
   sim::BranchCond cond;
+  std::uint8_t pad[3];
   sim::Word a;
   sim::Word b;
   bool expect_taken;
+  std::uint8_t tail[3] = {};
 };
+static_assert(sizeof(BranchCase) == 16, "BranchCase must have no implicit padding");
 
 class BranchCondTest : public ::testing::TestWithParam<BranchCase> {};
 
@@ -158,20 +168,20 @@ TEST_P(BranchCondTest, EvaluatesCorrectly) {
 INSTANTIATE_TEST_SUITE_P(
     AllConditions, BranchCondTest,
     ::testing::Values(
-        BranchCase{sim::BranchCond::kEq, 5, 5, true},
-        BranchCase{sim::BranchCond::kEq, 5, 6, false},
-        BranchCase{sim::BranchCond::kNe, 5, 6, true},
-        BranchCase{sim::BranchCond::kNe, 5, 5, false},
+        BranchCase{sim::BranchCond::kEq, {0x73, 0x00, 0x73}, 5, 5, true},
+        BranchCase{sim::BranchCond::kEq, {}, 5, 6, false},
+        BranchCase{sim::BranchCond::kNe, {}, 5, 6, true},
+        BranchCase{sim::BranchCond::kNe, {0x00, 0x01, 0x1B}, 5, 5, false},
         // Signed comparisons: 0xFFFFFFFF is -1.
-        BranchCase{sim::BranchCond::kLt, 0xFFFFFFFF, 0, true},
-        BranchCase{sim::BranchCond::kLt, 0, 0xFFFFFFFF, false},
-        BranchCase{sim::BranchCond::kGe, 0, 0xFFFFFFFF, true},
-        BranchCase{sim::BranchCond::kGe, 0xFFFFFFFF, 0, false},
+        BranchCase{sim::BranchCond::kLt, {0xFF, 0x48, 0x00}, 0xFFFFFFFF, 0, true},
+        BranchCase{sim::BranchCond::kLt, {}, 0, 0xFFFFFFFF, false},
+        BranchCase{sim::BranchCond::kGe, {}, 0, 0xFFFFFFFF, true},
+        BranchCase{sim::BranchCond::kGe, {0x00, 0x01, 0x1B}, 0xFFFFFFFF, 0, false},
         // Unsigned: 0xFFFFFFFF is huge.
-        BranchCase{sim::BranchCond::kLtu, 0xFFFFFFFF, 0, false},
-        BranchCase{sim::BranchCond::kLtu, 0, 0xFFFFFFFF, true},
-        BranchCase{sim::BranchCond::kGeu, 0xFFFFFFFF, 0, true},
-        BranchCase{sim::BranchCond::kGeu, 0, 1, false}));
+        BranchCase{sim::BranchCond::kLtu, {0xDA, 0x48, 0x00}, 0xFFFFFFFF, 0, false},
+        BranchCase{sim::BranchCond::kLtu, {}, 0, 0xFFFFFFFF, true},
+        BranchCase{sim::BranchCond::kGeu, {}, 0xFFFFFFFF, 0, true},
+        BranchCase{sim::BranchCond::kGeu, {}, 0, 1, false}));
 
 TEST_F(IsaExecTest, IndirectJumpAndCall) {
   using R = sim::Reg;

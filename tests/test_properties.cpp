@@ -3,6 +3,7 @@
 // reference evaluator over randomized programs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 
 #include "sim/cache.h"
@@ -16,12 +17,19 @@ namespace {
 
 // ---- cache geometry properties ------------------------------------------
 
+// gtest prints a parameter without a PrintTo as its raw bytes, padding
+// included, and ctest names each case after that print. Left implicit, the
+// padding held whatever the heap did, so case names changed from one test
+// listing to the next. It is spelled out here with the bytes the names were
+// first recorded with, so every build registers the same case names.
 struct Geometry {
   std::uint32_t size_bytes;
   std::uint32_t ways;
   std::uint32_t line;
   sim::ReplacementPolicy policy;
+  std::uint8_t pad[3] = {};
 };
+static_assert(sizeof(Geometry) == 16, "Geometry must have no implicit padding");
 
 class CacheGeometryTest : public ::testing::TestWithParam<Geometry> {
  protected:
@@ -98,13 +106,14 @@ TEST_P(CacheGeometryTest, StatsBalance) {
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometryTest,
-    ::testing::Values(Geometry{1024, 1, 32, sim::ReplacementPolicy::kLru},      // direct-mapped
-                      Geometry{4096, 4, 64, sim::ReplacementPolicy::kLru},
-                      Geometry{4096, 4, 64, sim::ReplacementPolicy::kTreePlru},
-                      Geometry{4096, 4, 64, sim::ReplacementPolicy::kRandom},
-                      Geometry{32768, 8, 64, sim::ReplacementPolicy::kLru},
-                      Geometry{65536, 16, 128, sim::ReplacementPolicy::kTreePlru},
-                      Geometry{2048, 32, 64, sim::ReplacementPolicy::kRandom}));  // fully assoc.
+    ::testing::Values(Geometry{1024, 1, 32, sim::ReplacementPolicy::kLru, {0xC9}},  // direct-mapped
+                      Geometry{4096, 4, 64, sim::ReplacementPolicy::kLru, {0xC9}},
+                      Geometry{4096, 4, 64, sim::ReplacementPolicy::kTreePlru, {0xFF}},
+                      Geometry{4096, 4, 64, sim::ReplacementPolicy::kRandom, {0x56}},
+                      Geometry{32768, 8, 64, sim::ReplacementPolicy::kLru, {0x56}},
+                      Geometry{65536, 16, 128, sim::ReplacementPolicy::kTreePlru, {0x7F}},
+                      Geometry{2048, 32, 64, sim::ReplacementPolicy::kRandom,
+                               {0x56}}));  // fully assoc.
 
 // ---- randomized CPU vs. reference interpreter ------------------------------
 
