@@ -2,8 +2,9 @@
 // trace store, batched capture.
 //
 // Three gates, every one enforced as a nonzero exit so CI fails loudly:
-//   * equivalence — streaming CPA/DPA/second-order CPA must reproduce the
-//     materialized engines on the same capture stream: identical key-byte
+//   * equivalence — CPA/DPA/second-order CPA accumulated batch by batch
+//     over the capture campaign and merged must reproduce one-shot
+//     accumulation of the same traces held in memory: identical key-byte
 //     ranking and best/second scores within 1e-9 relative;
 //   * memory — a full 10^6-trace CPA key recovery must finish with peak
 //     RSS under HWSEC_STREAM_RSS_MIB (default 256 MiB), which is the
@@ -101,11 +102,11 @@ int main(int argc, char** argv) {
   using hwsec::bench::Table;
   bool all_ok = true;
 
-  // ---- E13a: streaming vs. materialized equivalence ---------------------
+  // ---- E13a: batched, merged vs. one-shot accumulation ------------------
   const std::size_t eq_traces = env_size_t("HWSEC_STREAM_EQ_TRACES", 2000);
   KeyMatch cpa_match, dpa_match, so_match;
   {
-    hwsec::bench::section("E13a — streaming vs. materialized equivalence");
+    hwsec::bench::section("E13a — batched, merged vs. one-shot accumulation");
     std::cout << "(" << eq_traces << " traces; same batched capture stream feeds both "
               << "pipelines)\n";
     Table t({"engine", "ranking identical", "max score rel err", "gate (1e-9)"},

@@ -42,9 +42,9 @@ std::uint32_t cpa_bytes(attacks::AesVariant variant, std::size_t traces, double 
   // Streaming pipeline: batched capture feeds a single-pass accumulator,
   // so trace memory stays at one capture window regardless of `traces`.
   // The batch stream is identical to collect_aes_traces_parallel's, and
-  // the finalized scores match the materialized cpa_attack_key to 1e-9
-  // (the equivalence gate in bench_sca_streaming/test_sca), so the
-  // printed numbers are unchanged from the materialized pipeline's.
+  // the merged scores match one-shot cpa_attack_key to 1e-9 (the
+  // equivalence gate in bench_sca_streaming), so the printed numbers
+  // are those of the in-memory pipeline.
   hwsec::core::BatchedCaptureConfig capture;
   capture.seed = seed * 3 + 1;
   capture.total_traces = traces;

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/hash.h"
 #include "sim/machine.h"
 #include "sim/mpu.h"
 #include "sim/types.h"
@@ -217,13 +218,11 @@ struct MachineRunLog {
 
 /// Folds one committed value into the architectural leak-trace hash.
 /// Shared by the machine-side LeakHook and the oracle so the two traces
-/// are comparable. (FNV-1a over the 4 value bytes.)
+/// are comparable. (FNV-1a over the 4 value bytes, least significant first.)
 inline std::uint64_t leak_mix(std::uint64_t h, sim::Word value) {
-  for (int i = 0; i < 4; ++i) {
-    h ^= (value >> (8 * i)) & 0xFFu;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  const char bytes[4] = {static_cast<char>(value), static_cast<char>(value >> 8),
+                         static_cast<char>(value >> 16), static_cast<char>(value >> 24)};
+  return sim::fnv1a64({bytes, 4}, h);
 }
 
 /// Compiles `spec` into machine state: allocates frames, builds the page

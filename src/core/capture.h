@@ -13,7 +13,7 @@
 // batches in index order, so the delivered stream is a pure function of
 // the config at any worker count. The power stream is byte-identical to
 // what attacks::collect_aes_traces_parallel(seed, batch) materializes,
-// which is what the streaming-vs-materialized equivalence suite leans on.
+// which is what the batched-vs-one-shot equivalence checks lean on.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,7 @@
 
 #include "core/obs/metrics.h"
 #include "core/obs/trace.h"
+#include "sim/hash.h"
 
 namespace hwsec::core {
 
@@ -49,14 +50,8 @@ bool hex_decode(const std::string& hex, std::string& out) {
 
 // FNV-1a 64 over every content line (header + records, trailer excluded),
 // folding in a '\n' per line so reordering/splitting lines changes the hash.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
 void fnv_line(std::uint64_t& hash, const std::string& line) {
-  for (const unsigned char c : line) {
-    hash = (hash ^ c) * kFnvPrime;
-  }
-  hash = (hash ^ static_cast<unsigned char>('\n')) * kFnvPrime;
+  hash = sim::fnv1a64("\n", sim::fnv1a64(line, hash));
 }
 
 std::string fnv_hex(std::uint64_t hash) {
@@ -135,7 +130,7 @@ void CheckpointFile::warn_rejected(const std::string& path, const std::string& r
 }
 
 bool CheckpointFile::load_or_reject(std::istream& in, const std::string& path) {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = sim::kFnv1a64Offset;
   std::string line;
   if (!std::getline(in, line)) {
     warn_rejected(path, "empty or unreadable");
@@ -234,7 +229,7 @@ bool CheckpointFile::save(const std::string& path) const {
   obs::Span save_span("checkpoint_save", static_cast<std::int64_t>(records_.size()),
                       "records");
   std::ostringstream out;
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = sim::kFnv1a64Offset;
   auto emit = [&out, &hash](const std::string& line) {
     fnv_line(hash, line);
     out << line << "\n";

@@ -137,8 +137,4 @@ bool decode_outcomes(const std::string& blob, std::vector<OutcomeRecord>& out) {
   return r.exhausted();
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  return shard::fnv1a64(bytes);  // one hash definition for every wire digest.
-}
-
 }  // namespace hwsec::core::service

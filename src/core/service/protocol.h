@@ -100,6 +100,6 @@ std::string encode_outcomes(const ServiceOutcomes& outcomes);
 bool decode_outcomes(const std::string& blob, std::vector<OutcomeRecord>& out);
 
 /// FNV-1a 64 over arbitrary bytes (the digest clients compare).
-std::uint64_t fnv1a64(std::string_view bytes);
+using hwsec::sim::fnv1a64;
 
 }  // namespace hwsec::core::service

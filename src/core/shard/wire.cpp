@@ -223,15 +223,6 @@ bool decode_shard_done(const std::string& payload, std::uint64_t& shard_id) {
   return r.get_u64(shard_id) && r.exhausted();
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
 SigpipeIgnore::SigpipeIgnore() : previous_(new struct sigaction) {
   struct sigaction ignore {};
   ignore.sa_handler = SIG_IGN;

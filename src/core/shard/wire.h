@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "core/resilience/checkpoint.h"
+#include "sim/hash.h"
 
 namespace hwsec::core::shard {
 
@@ -232,11 +233,11 @@ bool decode_trial(const std::string& payload, TrialPayload& out);
 std::string encode_shard_done(std::uint64_t shard_id);
 bool decode_shard_done(const std::string& payload, std::uint64_t& shard_id);
 
-/// FNV-1a 64 over arbitrary bytes. Lives with the wire codec because it IS
-/// wire vocabulary: the campaign-identity digest in the multi-host
-/// handshake and the result digest hwsecd clients compare are both this
-/// hash over canonical encodings (service/protocol.h re-exports it).
-std::uint64_t fnv1a64(std::string_view bytes);
+/// FNV-1a 64 over arbitrary bytes (sim/hash.h). Wire vocabulary: the
+/// campaign-identity digest in the multi-host handshake and the result
+/// digest hwsecd clients compare are both this hash over canonical
+/// encodings (service/protocol.h re-exports it).
+using hwsec::sim::fnv1a64;
 
 /// RAII SIGPIPE suppressor: a supervisor writing an assignment to a worker
 /// that just died must see EPIPE (a recoverable event), not take the whole

@@ -1,13 +1,8 @@
 #include "sca/cpa.h"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
 #include <stdexcept>
-#include <vector>
 
-#include "sca/stats.h"
-#include "sim/thread_pool.h"
+#include "sca/streaming.h"
 
 namespace hwsec::sca {
 
@@ -19,167 +14,30 @@ void check_set(const TraceSet& set) {
   }
 }
 
+/// The whole set in one accumulator. StreamingCpa checks every trace's
+/// length, so a ragged set throws std::invalid_argument instead of being
+/// read past its end.
+StreamingCpa accumulate(const TraceSet& set) {
+  check_set(set);
+  StreamingCpa acc(set.samples_per_trace());
+  acc.add_batch(set);
+  return acc;
+}
+
 }  // namespace
 
 ByteAttackResult cpa_attack_byte(const TraceSet& set, std::size_t byte_index) {
-  check_set(set);
-  const auto& sbox = hwsec::crypto::aes_sbox();
-  const std::size_t n = set.traces.size();
-  const std::size_t points = set.traces.front().size();
-
-  // The hypothesis HW(S[pt ⊕ k]) depends on the trace only through its
-  // plaintext byte, so the 256-guess sweep reduces to statistics over 256
-  // plaintext-value classes: one O(n·points) pass builds per-class trace
-  // sums, after which every guess costs O(256·points) regardless of n.
-  // Samples are accumulated relative to the first trace (per point) so the
-  // shared DC baseline cancels before Σx² can swamp the mantissa — Pearson
-  // is invariant under the shift, and sxx below would otherwise lose the
-  // signal entirely at a 1e9 baseline (see the Sca DC-offset tests).
-  const Trace& reference = set.traces.front();
-  std::vector<double> class_sums(256 * points, 0.0);
-  std::array<double, 256> class_counts{};
-  std::vector<double> sum_x(points, 0.0);
-  std::vector<double> sum_xx(points, 0.0);
-  for (std::size_t t = 0; t < n; ++t) {
-    const std::uint8_t v = set.plaintexts[t][byte_index];
-    class_counts[v] += 1.0;
-    double* row = &class_sums[static_cast<std::size_t>(v) * points];
-    const Trace& trace = set.traces[t];
-    for (std::size_t p = 0; p < points; ++p) {
-      const double x = trace[p] - reference[p];
-      row[p] += x;
-      sum_x[p] += x;
-      sum_xx[p] += x * x;
-    }
-  }
-
-  ByteAttackResult result;
-  const double dn = static_cast<double>(n);
-  for (std::uint32_t guess = 0; guess < 256; ++guess) {
-    // Per-class hypothesis values and their first two moments.
-    std::array<double, 256> h{};
-    double sum_h = 0.0, sum_hh = 0.0;
-    for (std::uint32_t v = 0; v < 256; ++v) {
-      h[v] = static_cast<double>(
-          hamming_weight(sbox[static_cast<std::uint8_t>(v ^ guess)]));
-      sum_h += class_counts[v] * h[v];
-      sum_hh += class_counts[v] * h[v] * h[v];
-    }
-    const double shh = sum_hh - sum_h * sum_h / dn;
-    double best_abs = 0.0;
-    std::size_t best_point = 0;
-    if (shh > 1e-12) {
-      for (std::size_t p = 0; p < points; ++p) {
-        double sum_hx = 0.0;
-        for (std::uint32_t v = 0; v < 256; ++v) {
-          sum_hx += h[v] * class_sums[static_cast<std::size_t>(v) * points + p];
-        }
-        const double sxy = sum_hx - sum_h * sum_x[p] / dn;
-        const double sxx = sum_xx[p] - sum_x[p] * sum_x[p] / dn;
-        if (sxx <= 1e-12) {
-          continue;
-        }
-        const double rho = std::abs(sxy / std::sqrt(sxx * shh));
-        if (rho > best_abs) {
-          best_abs = rho;
-          best_point = p;
-        }
-      }
-    }
-    result.score_per_guess[guess] = best_abs;
-    if (best_abs > result.best_score) {
-      result.second_score = result.best_score;
-      result.best_score = best_abs;
-      result.best_guess = static_cast<std::uint8_t>(guess);
-      result.best_point = best_point;
-    } else if (best_abs > result.second_score) {
-      result.second_score = best_abs;
-    }
-  }
-  return result;
+  return accumulate(set).finalize_byte(byte_index);
 }
 
 ByteAttackResult dpa_attack_byte(const TraceSet& set, std::size_t byte_index, std::uint32_t bit) {
-  check_set(set);
-  const auto& sbox = hwsec::crypto::aes_sbox();
-  const std::size_t n = set.traces.size();
-  const std::size_t points = set.traces.front().size();
-
-  // Same class-sum reduction as CPA: the selection bit depends on the
-  // trace only through its plaintext byte. Shifted like CPA — the shift
-  // cancels in the difference of class means.
-  const Trace& reference = set.traces.front();
-  std::vector<double> class_sums(256 * points, 0.0);
-  std::array<double, 256> class_counts{};
-  for (std::size_t t = 0; t < n; ++t) {
-    const std::uint8_t v = set.plaintexts[t][byte_index];
-    class_counts[v] += 1.0;
-    double* row = &class_sums[static_cast<std::size_t>(v) * points];
-    const Trace& trace = set.traces[t];
-    for (std::size_t p = 0; p < points; ++p) {
-      row[p] += trace[p] - reference[p];
-    }
-  }
-
-  ByteAttackResult result;
-  std::vector<double> ones_sum(points);
-  for (std::uint32_t guess = 0; guess < 256; ++guess) {
-    std::fill(ones_sum.begin(), ones_sum.end(), 0.0);
-    double n_ones = 0.0;
-    double n_zeros = 0.0;
-    std::vector<double> zeros_sum(points, 0.0);
-    for (std::uint32_t v = 0; v < 256; ++v) {
-      const std::uint8_t s = sbox[static_cast<std::uint8_t>(v ^ guess)];
-      const double* row = &class_sums[static_cast<std::size_t>(v) * points];
-      if ((s >> bit) & 1) {
-        n_ones += class_counts[v];
-        for (std::size_t p = 0; p < points; ++p) {
-          ones_sum[p] += row[p];
-        }
-      } else {
-        n_zeros += class_counts[v];
-        for (std::size_t p = 0; p < points; ++p) {
-          zeros_sum[p] += row[p];
-        }
-      }
-    }
-    double score = 0.0;
-    if (n_ones > 0.5 && n_zeros > 0.5) {
-      for (std::size_t p = 0; p < points; ++p) {
-        score = std::max(score, std::abs(ones_sum[p] / n_ones - zeros_sum[p] / n_zeros));
-      }
-    }
-    result.score_per_guess[guess] = score;
-    if (score > result.best_score) {
-      result.second_score = result.best_score;
-      result.best_score = score;
-      result.best_guess = static_cast<std::uint8_t>(guess);
-    } else if (score > result.second_score) {
-      result.second_score = score;
-    }
-  }
-  return result;
+  return accumulate(set).finalize_dpa_byte(byte_index, bit);
 }
 
-// The 16 byte attacks are independent pure functions of the (shared,
-// read-only) trace set, so fanning them across the pool is bit-identical
-// to the sequential loop at any worker count.
-KeyAttackResult cpa_attack_key(const TraceSet& set) {
-  KeyAttackResult result;
-  hwsec::sim::ThreadPool::shared().parallel_for(16, [&](std::size_t i) {
-    result.bytes[i] = cpa_attack_byte(set, i);
-    result.recovered[i] = result.bytes[i].best_guess;
-  });
-  return result;
-}
+KeyAttackResult cpa_attack_key(const TraceSet& set) { return accumulate(set).finalize_key(); }
 
 KeyAttackResult dpa_attack_key(const TraceSet& set, std::uint32_t bit) {
-  KeyAttackResult result;
-  hwsec::sim::ThreadPool::shared().parallel_for(16, [&](std::size_t i) {
-    result.bytes[i] = dpa_attack_byte(set, i, bit);
-    result.recovered[i] = result.bytes[i].best_guess;
-  });
-  return result;
+  return accumulate(set).finalize_dpa_key(bit);
 }
 
 }  // namespace hwsec::sca

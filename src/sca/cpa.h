@@ -10,6 +10,11 @@
 // Countermeasure validation built in: against a masked implementation the
 // best and second-best hypotheses become statistically indistinguishable,
 // which the `margin()` of the result exposes.
+//
+// These functions take a trace set already in memory and feed it through
+// one sca::StreamingCpa (sca/streaming.h), the only implementation of the
+// CPA and DPA distinguishers. Every trace must have the same number of
+// samples; a ragged set throws std::invalid_argument.
 #pragma once
 
 #include <array>
@@ -34,12 +39,15 @@ struct ByteAttackResult {
 };
 
 /// CPA on key byte `byte_index` (0..15): Pearson correlation between
-/// HW(S[pt ⊕ k]) and every trace point.
+/// HW(S[pt ⊕ k]) and every trace point. The accumulation pass covers all
+/// 16 bytes, so one byte costs about as much as cpa_attack_key; call that
+/// (or finalize one StreamingCpa) when several bytes are wanted.
 ByteAttackResult cpa_attack_byte(const TraceSet& set, std::size_t byte_index);
 
 /// Single-bit DPA on key byte `byte_index`, selection bit `bit` of the
 /// S-box output: partitions traces by the predicted bit and scores each
-/// hypothesis by the maximum difference of means.
+/// hypothesis by the maximum difference of means. Costs about as much as
+/// dpa_attack_key (see cpa_attack_byte).
 ByteAttackResult dpa_attack_byte(const TraceSet& set, std::size_t byte_index,
                                  std::uint32_t bit = 0);
 
@@ -56,12 +64,12 @@ struct KeyAttackResult {
   }
 };
 
-/// Runs cpa_attack_byte on all 16 bytes. The byte attacks are independent
-/// and fan out across the shared thread pool; results are bit-identical to
-/// the sequential loop at any worker count.
+/// CPA on all 16 bytes. One pass accumulates the set; the 16 byte
+/// finalizations fan out across the shared thread pool and are
+/// bit-identical to the sequential loop at any worker count.
 KeyAttackResult cpa_attack_key(const TraceSet& set);
 
-/// Runs dpa_attack_byte on all 16 bytes (parallel, deterministic — see
+/// DPA on all 16 bytes (one pass, parallel finalization — see
 /// cpa_attack_key).
 KeyAttackResult dpa_attack_key(const TraceSet& set, std::uint32_t bit = 0);
 

@@ -20,14 +20,20 @@
 
 namespace hwsec::sca {
 
-/// Second-order CPA on key byte `byte_index`. `mask_sample` is the trace
-/// index of the mask-load leak (for crypto::AesMasked: sample 1 = m_out).
-/// Combined samples are centered products of the mask sample with every
-/// other point.
+/// The combined traces: sample p of trace t is the centered product
+/// (x_t[mask_sample] − mean[mask_sample]) · (x_t[p] − mean[p]), plaintexts
+/// carried over. Needs matched plaintexts, >= 8 traces, a rectangular set
+/// and `mask_sample` in range; otherwise std::invalid_argument.
+TraceSet centered_product_traces(const TraceSet& set, std::size_t mask_sample);
+
+/// Second-order CPA on key byte `byte_index`: first-order CPA on the
+/// combined traces. `mask_sample` is the trace index of the mask-load leak
+/// (for crypto::AesMasked: sample 1 = m_out). Costs about as much as
+/// second_order_cpa_key (see cpa_attack_byte).
 ByteAttackResult second_order_cpa_byte(const TraceSet& set, std::size_t byte_index,
                                        std::size_t mask_sample);
 
-/// All 16 key bytes.
+/// All 16 key bytes; the combined traces are built once.
 KeyAttackResult second_order_cpa_key(const TraceSet& set, std::size_t mask_sample = 1);
 
 }  // namespace hwsec::sca

@@ -5,34 +5,18 @@
 #include <stdexcept>
 #include <string>
 
+#include "sca/streaming.h"
+
 namespace hwsec::sca {
 
 namespace {
-
-/// Kahan-compensated accumulator. Power traces carry a large DC component
-/// (baseline power plus noise floor), so naive `sum += x` loses the signal
-/// bits once the running sum grows: at a 1e9 baseline over 1e5 samples the
-/// naive unbiased variance is off by ~25% (see the Stats regression
-/// tests). Compensation keeps the error at the rounding of the *inputs*,
-/// independent of n.
-struct KahanSum {
-  double sum = 0.0;
-  double compensation = 0.0;
-
-  void add(double value) {
-    const double y = value - compensation;
-    const double t = sum + y;
-    compensation = (t - sum) - y;
-    sum = t;
-  }
-};
 
 /// Mean of xs via a shifted, compensated sum: accumulating (x - xs[0])
 /// removes the DC component before it can swamp the mantissa, and Kahan
 /// compensation absorbs what rounding remains.
 double shifted_mean(std::span<const double> xs) {
   const double shift = xs.front();
-  KahanSum sum;
+  detail::KahanAcc sum;
   for (const double x : xs) {
     sum.add(x - shift);
   }
@@ -49,7 +33,7 @@ MeanVar mean_variance(std::span<const double> xs) {
   }
   mv.mean = shifted_mean(xs);
   if (mv.n > 1) {
-    KahanSum ss;
+    detail::KahanAcc ss;
     for (const double x : xs) {
       const double d = x - mv.mean;
       ss.add(d * d);
@@ -66,7 +50,7 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
   const std::size_t n = xs.size();
   const double mx = shifted_mean(xs);
   const double my = shifted_mean(ys);
-  KahanSum sxy, sxx, syy;
+  detail::KahanAcc sxy, sxx, syy;
   for (std::size_t i = 0; i < n; ++i) {
     const double dx = xs[i] - mx;
     const double dy = ys[i] - my;
@@ -117,7 +101,7 @@ PointCorrelation correlate_hypothesis(const std::vector<Trace>& traces,
   // hypothesis work per invocation).
   std::vector<double> h_dev(n);
   const double h_mean = shifted_mean(hypothesis);
-  KahanSum shh;
+  detail::KahanAcc shh;
   for (std::size_t t = 0; t < n; ++t) {
     h_dev[t] = hypothesis[t] - h_mean;
     shh.add(h_dev[t] * h_dev[t]);
@@ -132,7 +116,7 @@ PointCorrelation correlate_hypothesis(const std::vector<Trace>& traces,
       column[t] = traces[t][p];
     }
     const double x_mean = shifted_mean(column);
-    KahanSum sxy, sxx;
+    detail::KahanAcc sxy, sxx;
     for (std::size_t t = 0; t < n; ++t) {
       const double dx = column[t] - x_mean;
       sxy.add(dx * h_dev[t]);
@@ -152,44 +136,19 @@ PointCorrelation correlate_hypothesis(const std::vector<Trace>& traces,
 
 namespace {
 
-/// Per-point mean and variance over a population of equal-length traces.
-/// Trace-major iteration (cache-friendly over Trace rows) with per-point
-/// shifted, compensated accumulators: the shift is the first trace's
-/// value at that point, which removes the shared DC component exactly.
-void population_stats(const std::vector<Trace>& population, std::vector<double>& means,
-                      std::vector<double>& vars) {
-  const std::size_t points = population.front().size();
-  const Trace& reference = population.front();
-  means.assign(points, 0.0);
-  vars.assign(points, 0.0);
-  std::vector<double> comp(points, 0.0);
-  for (const Trace& t : population) {
-    for (std::size_t p = 0; p < points; ++p) {
-      const double y = (t[p] - reference[p]) - comp[p];
-      const double s = means[p] + y;
-      comp[p] = (s - means[p]) - y;
-      means[p] = s;
-    }
+/// Both populations streamed into one Welch accumulator. The accumulator
+/// checks every trace's length, so a ragged set throws
+/// std::invalid_argument instead of being read past its end.
+StreamingWelchT welch_of(const std::vector<Trace>& population_a,
+                         const std::vector<Trace>& population_b) {
+  StreamingWelchT welch(population_a.front().size());
+  for (const Trace& trace : population_a) {
+    welch.add(0, trace);
   }
-  const double n = static_cast<double>(population.size());
-  for (std::size_t p = 0; p < points; ++p) {
-    means[p] = reference[p] + means[p] / n;
+  for (const Trace& trace : population_b) {
+    welch.add(1, trace);
   }
-  if (population.size() > 1) {
-    std::fill(comp.begin(), comp.end(), 0.0);
-    for (const Trace& t : population) {
-      for (std::size_t p = 0; p < points; ++p) {
-        const double d = t[p] - means[p];
-        const double y = d * d - comp[p];
-        const double s = vars[p] + y;
-        comp[p] = (s - vars[p]) - y;
-        vars[p] = s;
-      }
-    }
-    for (double& v : vars) {
-      v /= (n - 1.0);
-    }
-  }
+  return welch;
 }
 
 }  // namespace
@@ -199,72 +158,29 @@ double max_welch_t(const std::vector<Trace>& population_a,
   if (population_a.size() < 2 || population_b.size() < 2) {
     throw std::invalid_argument("Welch t-test needs >= 2 traces per population");
   }
-  std::vector<double> ma, va, mb, vb;
-  population_stats(population_a, ma, va);
-  population_stats(population_b, mb, vb);
-  const std::size_t points = std::min(ma.size(), mb.size());
-  const double na = static_cast<double>(population_a.size());
-  const double nb = static_cast<double>(population_b.size());
-  double max_t = 0.0;
-  for (std::size_t p = 0; p < points; ++p) {
-    const double denom = std::sqrt(va[p] / na + vb[p] / nb);
-    if (denom <= 1e-12) {
-      continue;
-    }
-    max_t = std::max(max_t, std::abs((ma[p] - mb[p]) / denom));
-  }
-  return max_t;
+  return welch_of(population_a, population_b).max_t();
 }
 
 double max_snr(const std::vector<std::vector<Trace>>& classes) {
-  std::vector<std::vector<double>> class_means;
-  std::vector<std::vector<double>> class_vars;
-  std::size_t points = 0;
-  for (const auto& cls : classes) {
-    if (cls.empty()) {
-      continue;
-    }
-    std::vector<double> m, v;
-    population_stats(cls, m, v);
-    points = points == 0 ? m.size() : std::min(points, m.size());
-    class_means.push_back(std::move(m));
-    class_vars.push_back(std::move(v));
-  }
-  if (class_means.size() < 2 || points == 0) {
+  const auto first = std::find_if(classes.begin(), classes.end(),
+                                  [](const std::vector<Trace>& cls) { return !cls.empty(); });
+  if (first == classes.end()) {
     return 0.0;
   }
-  double best = 0.0;
-  std::vector<double> point_means(class_means.size());
-  for (std::size_t p = 0; p < points; ++p) {
-    for (std::size_t c = 0; c < class_means.size(); ++c) {
-      point_means[c] = class_means[c][p];
-    }
-    const MeanVar signal = mean_variance(point_means);
-    double noise = 0.0;
-    for (std::size_t c = 0; c < class_vars.size(); ++c) {
-      noise += class_vars[c][p];
-    }
-    noise /= static_cast<double>(class_vars.size());
-    if (noise > 1e-12) {
-      best = std::max(best, signal.variance / noise);
+  StreamingSnr snr(classes.size(), first->front().size());
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    for (const Trace& trace : classes[c]) {
+      snr.add(c, trace);
     }
   }
-  return best;
+  return snr.max_snr();
 }
 
 double max_dom(const std::vector<Trace>& population_a, const std::vector<Trace>& population_b) {
   if (population_a.empty() || population_b.empty()) {
     return 0.0;
   }
-  std::vector<double> ma, va, mb, vb;
-  population_stats(population_a, ma, va);
-  population_stats(population_b, mb, vb);
-  const std::size_t points = std::min(ma.size(), mb.size());
-  double best = 0.0;
-  for (std::size_t p = 0; p < points; ++p) {
-    best = std::max(best, std::abs(ma[p] - mb[p]));
-  }
-  return best;
+  return welch_of(population_a, population_b).max_dom();
 }
 
 }  // namespace hwsec::sca

@@ -2,6 +2,14 @@
 // difference of means (classic DPA), Welch's t-test (TVLA leakage
 // assessment) and signal-to-noise ratio.
 //
+// Two kinds of function live here. The series statistics (mean_variance,
+// pearson, correlate_hypothesis) are direct two-pass definitions over
+// data in memory. The max_* population statistics are adapters that feed
+// the trace matrix through the streaming accumulators of
+// sca/streaming.h, which hold the one implementation of Welch-t, DoM and
+// SNR; the direct definitions serve the tests as independent references
+// for them.
+//
 // All accumulation is DC-shifted and Kahan-compensated: power traces ride
 // on a large constant baseline (supply power + noise floor), and naive
 // running sums lose the signal bits against it — at a 1e9 baseline the
@@ -16,6 +24,30 @@
 #include "sca/trace.h"
 
 namespace hwsec::sca {
+
+namespace detail {
+
+/// Kahan-compensated running sum. Compensation keeps the error at the
+/// rounding of the *inputs*, independent of the number of additions; the
+/// streaming accumulators persist it across batches.
+struct KahanAcc {
+  double sum = 0.0;
+  double comp = 0.0;
+
+  void add(double value) {
+    const double y = value - comp;
+    const double t = sum + y;
+    comp = (t - sum) - y;
+    sum = t;
+  }
+  /// Folds another compensated sum in without losing its residual.
+  void add(const KahanAcc& other) {
+    add(other.sum);
+    add(-other.comp);
+  }
+};
+
+}  // namespace detail
 
 struct MeanVar {
   double mean = 0.0;
@@ -46,7 +78,9 @@ PointCorrelation correlate_hypothesis(const std::vector<Trace>& traces,
 
 /// Welch's t statistic between two trace populations at each sample point;
 /// returns the maximum |t| over points. |t| > 4.5 is the conventional
-/// TVLA threshold for "leaks".
+/// TVLA threshold for "leaks". Every trace of both populations must have
+/// the same number of points; otherwise std::invalid_argument (as for
+/// max_snr and max_dom).
 double max_welch_t(const std::vector<Trace>& population_a,
                    const std::vector<Trace>& population_b);
 

@@ -149,9 +149,8 @@ void StreamingSnr::merge(const StreamingSnr& other) {
 }
 
 double StreamingSnr::max_snr() const {
-  // Mirrors sca::max_snr: classes with no traces are skipped, signal is
-  // the unbiased variance of per-class means, noise the mean of per-class
-  // variances.
+  // Classes with no traces are skipped, signal is the unbiased variance
+  // of per-class means, noise the mean of per-class variances.
   std::vector<const PopulationAccumulator*> live;
   std::size_t points = 0;
   for (const auto& cls : classes_) {
@@ -268,8 +267,9 @@ ByteAttackResult StreamingCpa::finalize_byte(std::size_t byte_index) const {
   const auto& sbox = hwsec::crypto::aes_sbox();
   const auto& counts = class_counts_.at(byte_index);
 
-  // Same class-sum algebra as sca::cpa_attack_byte; Pearson is invariant
-  // under the per-point shift, so the shifted sums drop straight in.
+  // Pearson is invariant under the per-point shift, so the shifted sums
+  // drop straight in; without the shift sxx below would lose the signal
+  // entirely at a 1e9 baseline.
   ByteAttackResult result;
   const double dn = static_cast<double>(n_);
   for (std::uint32_t guess = 0; guess < 256; ++guess) {
@@ -541,16 +541,16 @@ ByteAttackResult StreamingSecondOrderCpa::finalize_byte(std::size_t byte_index) 
   const double dn = static_cast<double>(n_);
   const double mu_y = c1_.sum / dn;
 
-  // Reconstruct the statistics the materialized path computes on the
-  // centered-product traces c = (y − μy)(x − μx): with shifted moments
-  // A/B/C (see the member comments),
+  // Reconstruct the CPA statistics of the centered-product traces
+  // c = (y − μy)(x − μx): with shifted moments A/B/C (see the member
+  // comments),
   //   Σc        = B11 − n·μy·μx
   //   Σc²       = B22 − 2μx·B21 + μx²·C2 − 2μy·B12 + 4μyμx·B11
   //               − 2μyμx²·C1 + μy²·A2 − 2μy²μx·A1 + n·μy²μx²
   //   per-class Σc = K − μx·G − μy·D + n_v·μy·μx
   // (K = class ΣYX, D = class ΣX, G = class ΣY). The per-point shift and
   // the mask shift both cancel in the centered values, so these equal the
-  // materialized sums up to rounding.
+  // sums over explicitly built combined traces up to rounding.
   std::vector<double> sum_c(points_);
   std::vector<double> sum_cc(points_);
   for (std::size_t p = 0; p < points_; ++p) {

@@ -1,12 +1,14 @@
-// Single-pass streaming accumulators for side-channel statistics.
+// Single-pass streaming accumulators: the one engine behind every
+// side-channel statistic (CPA, DPA, second-order CPA, Welch-t, DoM, SNR).
 //
-// The materialized engines (sca/cpa.h, sca/stats.h, sca/second_order.h)
-// need the whole trace matrix in RAM, so campaign size is capped by memory
-// long before compute. Each accumulator here ingests traces one batch at a
-// time — O(points) state, independent of trace count — and produces the
-// same statistics the materialized engines compute over the full matrix:
-// identical key-byte ranking, values within ~1e-12 relative (the
-// acceptance bound is 1e-9; see the StreamingEquivalence tests).
+// Each accumulator ingests traces one batch at a time — O(points) state,
+// independent of trace count — so campaign size is not capped by memory.
+// The in-memory API (sca/cpa.h, the max_* functions of sca/stats.h,
+// sca/second_order.h) is a thin adapter that feeds a whole trace matrix
+// through these same accumulators. Correctness is pinned against
+// independent references — per-point Pearson, column means and
+// closed-form fixtures — to 1e-9 relative, at a zero and a 1e9 baseline
+// (see the StreamingEquivalence tests).
 //
 // Numerics (PR 4's DC-shift rewrite, made incremental): every per-point
 // running sum is accumulated relative to a *shift* taken from the first
@@ -33,32 +35,10 @@
 #include <vector>
 
 #include "sca/cpa.h"
+#include "sca/stats.h"
 #include "sca/trace.h"
 
 namespace hwsec::sca {
-
-namespace detail {
-
-/// Kahan-compensated running sum (same scheme as sca/stats.cpp, exposed
-/// here because the streaming state must persist it across batches).
-struct KahanAcc {
-  double sum = 0.0;
-  double comp = 0.0;
-
-  void add(double value) {
-    const double y = value - comp;
-    const double t = sum + y;
-    comp = (t - sum) - y;
-    sum = t;
-  }
-  /// Folds another compensated sum in without losing its residual.
-  void add(const KahanAcc& other) {
-    add(other.sum);
-    add(-other.comp);
-  }
-};
-
-}  // namespace detail
 
 /// Per-point first/second moments of one trace population, online.
 /// Backs the streaming Welch-t, SNR and DoM computations.
@@ -112,8 +92,7 @@ class StreamingWelchT {
 };
 
 /// Streaming SNR across K leakage classes: Var_classes(mean) /
-/// mean_classes(Var), maximized over points (same estimator as
-/// sca::max_snr).
+/// mean_classes(Var), maximized over points.
 class StreamingSnr {
  public:
   StreamingSnr() = default;
@@ -133,12 +112,13 @@ class StreamingSnr {
 /// Streaming first-order CPA over all 16 key bytes (plus the single-bit
 /// DPA distinguisher, which needs the same class sums).
 ///
-/// State is the class-sum reduction the materialized engine already uses:
-/// the Hamming-weight hypothesis depends on a trace only through one
-/// plaintext byte, so per byte index it suffices to hold per-point trace
-/// sums for each of the 256 plaintext-byte classes, plus whole-campaign
-/// per-point Σx and Σx². ~ (16·256 + 2) · points doubles — 5.4 MiB for AES
-/// traces, independent of trace count.
+/// State is a class-sum reduction: the Hamming-weight hypothesis depends
+/// on a trace only through one plaintext byte, so per byte index it
+/// suffices to hold per-point trace sums for each of the 256
+/// plaintext-byte classes, plus whole-campaign per-point Σx and Σx². One
+/// O(n·points) pass builds them, after which every key guess costs
+/// O(256·points) regardless of n. ~ (16·256 + 2) · points doubles —
+/// 5.4 MiB for AES traces, independent of trace count.
 class StreamingCpa {
  public:
   StreamingCpa() = default;
@@ -151,14 +131,15 @@ class StreamingCpa {
   std::size_t traces() const { return n_; }
   std::size_t points() const { return points_; }
 
-  /// CPA distinguisher for one key byte — same scores as
-  /// sca::cpa_attack_byte over the ingested traces.
+  /// CPA distinguisher for one key byte: per guess, |Pearson| between
+  /// HW(S[pt ⊕ k]) and every point, maximized over points.
   ByteAttackResult finalize_byte(std::size_t byte_index) const;
   /// All 16 bytes (parallel over the shared pool, deterministic).
   KeyAttackResult finalize_key() const;
 
-  /// Single-bit DPA (difference of means on S-box output bit `bit`) —
-  /// same scores as sca::dpa_attack_byte.
+  /// Single-bit DPA: per guess, |difference of means| between the traces
+  /// whose S-box output bit `bit` is predicted 1 and those predicted 0,
+  /// maximized over points.
   ByteAttackResult finalize_dpa_byte(std::size_t byte_index, std::uint32_t bit = 0) const;
   KeyAttackResult finalize_dpa_key(std::uint32_t bit = 0) const;
 
@@ -184,9 +165,10 @@ class StreamingCpa {
 /// Streaming centered-product second-order CPA against first-order
 /// masking: one pass accumulates the joint moments of the mask-load sample
 /// Y with every point X (up to Σ Y²X², shifted + compensated), from which
-/// finalize() reconstructs exactly the statistics the materialized path
-/// gets from building centered-product combined traces and running CPA on
-/// them. State ~ (2·16·256 + 6) · points doubles (~11 MiB for AES traces).
+/// finalize() reconstructs exactly the statistics of first-order CPA on
+/// the centered-product combined traces (sca/second_order.h) without ever
+/// building them. State ~ (2·16·256 + 6) · points doubles (~11 MiB for AES
+/// traces).
 class StreamingSecondOrderCpa {
  public:
   StreamingSecondOrderCpa() = default;

@@ -47,15 +47,6 @@ std::string manifest_path(const std::string& dir) { return dir + "/manifest"; }
 
 }  // namespace
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // ---------------------------------------------------------------------------
 // ChunkedRecordWriter
 

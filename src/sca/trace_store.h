@@ -37,13 +37,16 @@
 #include <vector>
 
 #include "sca/trace.h"
+#include "sim/hash.h"
 
 namespace hwsec::sca {
 
-/// FNV-1a 64-bit — the same cheap content checksum the checkpoint format
-/// uses; collision resistance is irrelevant, bit-flip detection is the job.
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size,
-                      std::uint64_t seed = 0xcbf29ce484222325ULL);
+/// FNV-1a 64 over a raw byte range (sim/hash.h) — the content checksum of
+/// manifests and chunk payloads.
+inline std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size,
+                             std::uint64_t seed = hwsec::sim::kFnv1a64Offset) {
+  return hwsec::sim::fnv1a64({reinterpret_cast<const char*>(data), size}, seed);
+}
 
 /// Low-level fixed-record chunked writer, shared by the trace store and
 /// the cache-attack observation log. Not thread-safe: one writer per

@@ -1,8 +1,10 @@
-// Determinism and distribution sanity of the simulator RNG.
+// Determinism and distribution sanity of the simulator RNG, and the
+// published test vectors of the project's one content hash.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "sim/hash.h"
 #include "sim/rng.h"
 
 namespace sim = hwsec::sim;
@@ -82,5 +84,15 @@ TEST_P(RngChanceTest, FrequencyTracksProbability) {
 
 INSTANTIATE_TEST_SUITE_P(Probabilities, RngChanceTest,
                          ::testing::Values(0.1, 0.25, 0.5, 0.75, 0.9));
+
+TEST(Hash, Fnv1a64PublishedVectors) {
+  // Reference vectors of the FNV-1a 64 specification. Every digest,
+  // checkpoint trailer, trace-store checksum and leak hash depends on them.
+  EXPECT_EQ(sim::fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(sim::fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(sim::fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  // A seed continues a hash: hashing in pieces equals hashing the whole.
+  EXPECT_EQ(sim::fnv1a64("bar", sim::fnv1a64("foo")), sim::fnv1a64("foobar"));
+}
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -332,6 +334,24 @@ TEST(Stats, CorrelateHypothesisRejectsEmptyTraceSet) {
   }
 }
 
+TEST(Stats, RaggedTracesRejectedByEveryEngine) {
+  // A later trace shorter than the first must be rejected, not read past
+  // its end: the engines size their per-point loops from the first trace.
+  sca::TraceSet set;
+  for (std::uint8_t t = 0; t < 8; ++t) {
+    set.traces.push_back({1.0 * t, 2.0, 3.0 * t, 4.0});
+    set.plaintexts.push_back({t, static_cast<std::uint8_t>(3 * t)});
+  }
+  set.traces[5] = sca::Trace{5.0, 2.0};  // moved in: its own two-sample buffer.
+  const auto& traces = set.traces;
+  EXPECT_THROW(sca::cpa_attack_key(set), std::invalid_argument);
+  EXPECT_THROW(sca::dpa_attack_key(set), std::invalid_argument);
+  EXPECT_THROW(sca::second_order_cpa_key(set), std::invalid_argument);
+  EXPECT_THROW(sca::max_welch_t(traces, traces), std::invalid_argument);
+  EXPECT_THROW(sca::max_dom(traces, traces), std::invalid_argument);
+  EXPECT_THROW(sca::max_snr({traces, traces}), std::invalid_argument);
+}
+
 TEST(Recorder, ReserveHintPersistsAcrossTraces) {
   // The batched capture loop sets the hint once (to the fixed trace
   // length) and every subsequent begin_trace must reuse it instead of
@@ -350,9 +370,12 @@ TEST(Recorder, ReserveHintPersistsAcrossTraces) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming accumulators (sca/streaming.h): single-pass equivalents of the
-// materialized engines. The contract under test: identical key-byte
-// ranking, best/second scores within 1e-9 relative, at any batch split.
+// Streaming accumulators (sca/streaming.h): the one engine behind every
+// statistic, checked against references that share none of its
+// accumulation code — per-point Pearson and partition column means written
+// out below, and closed-form fixtures. The contract, on all 16 key bytes:
+// identical key-byte ranking, best/second scores within 1e-9 relative, at
+// a zero and a 1e9 baseline and at any batch split.
 // ---------------------------------------------------------------------------
 
 constexpr double kRelTol = 1e-9;
@@ -369,21 +392,142 @@ sca::TraceSet with_offset(sca::TraceSet set, double offset) {
   return set;
 }
 
-void expect_key_results_close(const sca::KeyAttackResult& materialized,
-                              const sca::KeyAttackResult& streaming) {
-  EXPECT_EQ(materialized.recovered, streaming.recovered);
+void expect_byte_results_close(const sca::ByteAttackResult& expected,
+                               const sca::ByteAttackResult& actual, std::size_t byte) {
+  EXPECT_EQ(expected.best_guess, actual.best_guess) << "byte " << byte;
+  // Near-zero wrong-guess correlations are cancellation-dominated, so the
+  // relative bound is asserted where it is well-conditioned: on the
+  // ranking-relevant best/second scores.
+  EXPECT_NEAR(expected.best_score, actual.best_score,
+              kRelTol * std::max(1.0, std::abs(expected.best_score)))
+      << "byte " << byte;
+  EXPECT_NEAR(expected.second_score, actual.second_score,
+              kRelTol * std::max(1.0, std::abs(expected.second_score)))
+      << "byte " << byte;
+}
+
+void expect_key_results_close(const sca::KeyAttackResult& expected,
+                              const sca::KeyAttackResult& actual) {
+  EXPECT_EQ(expected.recovered, actual.recovered);
   for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(materialized.bytes[i].best_guess, streaming.bytes[i].best_guess) << "byte " << i;
-    // Near-zero wrong-guess correlations are cancellation-dominated, so
-    // the relative bound is asserted where it is well-conditioned: on the
-    // ranking-relevant best/second scores.
-    EXPECT_NEAR(materialized.bytes[i].best_score, streaming.bytes[i].best_score,
-                kRelTol * std::max(1.0, std::abs(materialized.bytes[i].best_score)))
-        << "byte " << i;
-    EXPECT_NEAR(materialized.bytes[i].second_score, streaming.bytes[i].second_score,
-                kRelTol * std::max(1.0, std::abs(materialized.bytes[i].second_score)))
-        << "byte " << i;
+    expect_byte_results_close(expected.bytes[i], actual.bytes[i], i);
   }
+}
+
+/// Ranks `score` for `guess` into `result` the way the engines do.
+void rank_guess(sca::ByteAttackResult& result, std::uint32_t guess, double score) {
+  result.score_per_guess[guess] = score;
+  if (score > result.best_score) {
+    result.second_score = result.best_score;
+    result.best_score = score;
+    result.best_guess = static_cast<std::uint8_t>(guess);
+  } else if (score > result.second_score) {
+    result.second_score = score;
+  }
+}
+
+/// The samples relative to the first trace, one row per trace. Two samples
+/// on the same baseline subtract exactly, and Pearson correlation and the
+/// difference of means are both shift-invariant.
+std::vector<std::vector<double>> relative_samples(const sca::TraceSet& set) {
+  std::vector<std::vector<double>> rows(set.size());
+  for (std::size_t t = 0; t < set.size(); ++t) {
+    rows[t].resize(set.samples_per_trace());
+    for (std::size_t p = 0; p < rows[t].size(); ++p) {
+      rows[t][p] = set.traces[t][p] - set.traces[0][p];
+    }
+  }
+  return rows;
+}
+
+/// Reference CPA without class sums: per guess, the per-point Pearson
+/// correlation of HW(S[pt ⊕ k]) with the samples. Every column is centred
+/// and its sum of squares taken once per fixture, so a guess costs one
+/// hypothesis dot product per point and all 16 bytes stay affordable.
+sca::KeyAttackResult reference_cpa_key(const sca::TraceSet& set) {
+  const auto& sbox = crypto::aes_sbox();
+  const std::size_t n = set.size();
+  auto dev = relative_samples(set);
+  const std::size_t points = set.samples_per_trace();
+  std::vector<double> sxx(points, 0.0);
+  for (std::size_t p = 0; p < points; ++p) {
+    double sum = 0.0;
+    for (std::size_t t = 0; t < n; ++t) {
+      sum += dev[t][p];
+    }
+    const double mean = sum / static_cast<double>(n);
+    for (std::size_t t = 0; t < n; ++t) {
+      dev[t][p] -= mean;
+      sxx[p] += dev[t][p] * dev[t][p];
+    }
+  }
+  sca::KeyAttackResult key;
+  std::vector<double> h(n), sxy(points);
+  for (std::size_t byte = 0; byte < 16; ++byte) {
+    auto& result = key.bytes[byte];
+    for (std::uint32_t guess = 0; guess < 256; ++guess) {
+      double h_sum = 0.0;
+      for (std::size_t t = 0; t < n; ++t) {
+        h[t] = sca::hamming_weight(sbox[set.plaintexts[t][byte] ^ guess]);
+        h_sum += h[t];
+      }
+      const double h_mean = h_sum / static_cast<double>(n);
+      double shh = 0.0;
+      std::fill(sxy.begin(), sxy.end(), 0.0);
+      for (std::size_t t = 0; t < n; ++t) {
+        const double hd = h[t] - h_mean;
+        shh += hd * hd;
+        for (std::size_t p = 0; p < points; ++p) {
+          sxy[p] += hd * dev[t][p];
+        }
+      }
+      double score = 0.0;
+      for (std::size_t p = 0; p < points; ++p) {
+        if (sxx[p] > 0.0 && shh > 0.0) {
+          score = std::max(score, std::abs(sxy[p]) / std::sqrt(sxx[p] * shh));
+        }
+      }
+      rank_guess(result, guess, score);
+    }
+    key.recovered[byte] = result.best_guess;
+  }
+  return key;
+}
+
+/// Reference single-bit DPA without class sums: per guess and point, the
+/// difference of the column means of the traces whose predicted bit is 1
+/// and of those whose bit is 0.
+sca::KeyAttackResult reference_dpa_key(const sca::TraceSet& set, std::uint32_t bit) {
+  const auto& sbox = crypto::aes_sbox();
+  const auto rows = relative_samples(set);
+  const std::size_t points = set.samples_per_trace();
+  sca::KeyAttackResult key;
+  std::vector<double> ones(points), zeros(points);
+  for (std::size_t byte = 0; byte < 16; ++byte) {
+    auto& result = key.bytes[byte];
+    for (std::uint32_t guess = 0; guess < 256; ++guess) {
+      std::fill(ones.begin(), ones.end(), 0.0);
+      std::fill(zeros.begin(), zeros.end(), 0.0);
+      std::size_t n_ones = 0;
+      for (std::size_t t = 0; t < rows.size(); ++t) {
+        const bool one = (sbox[set.plaintexts[t][byte] ^ guess] >> bit) & 1;
+        n_ones += one ? 1 : 0;
+        auto& sums = one ? ones : zeros;
+        for (std::size_t p = 0; p < points; ++p) {
+          sums[p] += rows[t][p];
+        }
+      }
+      const std::size_t n_zeros = rows.size() - n_ones;
+      double score = 0.0;
+      for (std::size_t p = 0; p < points && n_ones > 0 && n_zeros > 0; ++p) {
+        score = std::max(score, std::abs(ones[p] / static_cast<double>(n_ones) -
+                                         zeros[p] / static_cast<double>(n_zeros)));
+      }
+      rank_guess(result, guess, score);
+    }
+    key.recovered[byte] = result.best_guess;
+  }
+  return key;
 }
 
 TEST(StreamingEquivalence, CpaMatchesMaterialized) {
@@ -396,7 +540,10 @@ TEST(StreamingEquivalence, CpaMatchesMaterialized) {
     sca::StreamingCpa acc(fixture.samples_per_trace());
     acc.add_batch(fixture);
     EXPECT_EQ(acc.traces(), fixture.size());
-    expect_key_results_close(sca::cpa_attack_key(fixture), acc.finalize_key());
+    const auto reference = reference_cpa_key(fixture);
+    EXPECT_EQ(reference.recovered, kKey);
+    expect_key_results_close(reference, acc.finalize_key());
+    expect_key_results_close(reference, sca::cpa_attack_key(fixture));
   }
 }
 
@@ -409,11 +556,16 @@ TEST(StreamingEquivalence, DpaMatchesMaterialized) {
     const auto fixture = offset == 0.0 ? set : with_offset(set, offset);
     sca::StreamingCpa acc(fixture.samples_per_trace());
     acc.add_batch(fixture);
-    expect_key_results_close(sca::dpa_attack_key(fixture, 0), acc.finalize_dpa_key(0));
+    const auto reference = reference_dpa_key(fixture, 0);
+    EXPECT_EQ(reference.recovered, kKey);
+    expect_key_results_close(reference, acc.finalize_dpa_key(0));
+    expect_key_results_close(reference, sca::dpa_attack_key(fixture, 0));
   }
 }
 
 TEST(StreamingEquivalence, SecondOrderMatchesMaterialized) {
+  // The reference builds the centered-product traces explicitly and runs
+  // per-point Pearson CPA on them; the accumulator never builds them.
   sca::RecorderConfig rec;
   rec.noise_sigma = 0.25;
   rec.seed = 23;
@@ -422,45 +574,64 @@ TEST(StreamingEquivalence, SecondOrderMatchesMaterialized) {
     const auto fixture = offset == 0.0 ? set : with_offset(set, offset);
     sca::StreamingSecondOrderCpa acc(fixture.samples_per_trace(), /*mask_sample=*/1);
     acc.add_batch(fixture);
-    expect_key_results_close(sca::second_order_cpa_key(fixture, 1), acc.finalize_key());
+    const auto reference = reference_cpa_key(sca::centered_product_traces(fixture, 1));
+    EXPECT_EQ(reference.recovered, kKey);
+    expect_key_results_close(reference, acc.finalize_key());
+    expect_key_results_close(reference, sca::second_order_cpa_key(fixture, 1));
   }
 }
 
 TEST(StreamingEquivalence, WelchTAndDomMatchMaterialized) {
-  // Two populations with a planted shift on point 1, riding the 1e9
-  // baseline: streamed t and DoM must match the materialized statistics.
-  hwsec::sim::Rng rng(31);
-  std::vector<sca::Trace> a, b;
-  sca::StreamingWelchT wt(2);
-  for (int i = 0; i < 200; ++i) {
-    a.push_back({kDcOffset + rng.gaussian(0.0, 1.0), kDcOffset + rng.gaussian(0.0, 1.0)});
-    b.push_back({kDcOffset + rng.gaussian(0.0, 1.0), kDcOffset + rng.gaussian(2.0, 1.0)});
-    wt.add(0, a.back());
-    wt.add(1, b.back());
+  // Closed form. Point 0 is the same in both populations (t = DoM = 0).
+  // At point 1 population a alternates 0, 2 and b alternates 5, 7: each
+  // has unbiased variance n/(n−1), so DoM = 5 and t = 5 / sqrt(2/(n−1)).
+  // Small integers on the baseline are exact doubles, so these values are
+  // exact on the stored samples at both baselines.
+  constexpr int kN = 50;
+  const double expected_t = 5.0 / std::sqrt(2.0 / (kN - 1));
+  for (const double offset : {0.0, kDcOffset}) {
+    std::vector<sca::Trace> a, b;
+    sca::StreamingWelchT wt(2);
+    for (int i = 0; i < kN; ++i) {
+      const double wobble = i % 2 == 0 ? 0.0 : 2.0;
+      a.push_back({offset + wobble, offset + wobble});
+      b.push_back({offset + wobble, offset + 5.0 + wobble});
+      wt.add(0, a.back());
+      wt.add(1, b.back());
+    }
+    for (const double t : {wt.max_t(), sca::max_welch_t(a, b)}) {
+      EXPECT_NEAR(t, expected_t, kRelTol * expected_t) << "offset " << offset;
+    }
+    for (const double dom : {wt.max_dom(), sca::max_dom(a, b)}) {
+      EXPECT_NEAR(dom, 5.0, kRelTol * 5.0) << "offset " << offset;
+    }
   }
-  const double t_ref = sca::max_welch_t(a, b);
-  const double dom_ref = sca::max_dom(a, b);
-  EXPECT_NEAR(wt.max_t(), t_ref, kRelTol * std::max(1.0, std::abs(t_ref)));
-  EXPECT_NEAR(wt.max_dom(), dom_ref, kRelTol * std::max(1.0, std::abs(dom_ref)));
-  EXPECT_GT(wt.max_t(), sca::kTvlaThreshold);
 }
 
 TEST(StreamingEquivalence, SnrMatchesMaterialized) {
-  hwsec::sim::Rng rng(32);
+  // Closed form. Class c sits at c ± 1/2 at point 0 and at ± 1/2 at
+  // point 1, alternating. Every class has unbiased variance
+  // (n/4)/(n−1); the class means 0..K−1 have unbiased variance
+  // K(K+1)/12 at point 0 and none at point 1.
   constexpr std::size_t kClasses = 8;
-  std::vector<std::vector<sca::Trace>> classes(kClasses);
-  sca::StreamingSnr snr(kClasses, 2);
-  for (std::size_t c = 0; c < kClasses; ++c) {
-    for (int i = 0; i < 60; ++i) {
-      sca::Trace t = {kDcOffset + static_cast<double>(c) + rng.gaussian(0.0, 0.5),
-                      kDcOffset + rng.gaussian(0.0, 0.5)};
-      classes[c].push_back(t);
-      snr.add(c, t);
+  constexpr int kN = 60;
+  const double noise = (kN / 4.0) / (kN - 1);
+  const double expected = (kClasses * (kClasses + 1) / 12.0) / noise;
+  for (const double offset : {0.0, kDcOffset}) {
+    std::vector<std::vector<sca::Trace>> classes(kClasses);
+    sca::StreamingSnr snr(kClasses, 2);
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      for (int i = 0; i < kN; ++i) {
+        const double wobble = i % 2 == 0 ? -0.5 : 0.5;
+        const sca::Trace t = {offset + static_cast<double>(c) + wobble, offset + wobble};
+        classes[c].push_back(t);
+        snr.add(c, t);
+      }
+    }
+    for (const double value : {snr.max_snr(), sca::max_snr(classes)}) {
+      EXPECT_NEAR(value, expected, kRelTol * expected) << "offset " << offset;
     }
   }
-  const double ref = sca::max_snr(classes);
-  EXPECT_NEAR(snr.max_snr(), ref, kRelTol * std::max(1.0, std::abs(ref)));
-  EXPECT_GT(snr.max_snr(), 1.0);  // the planted class signal dominates noise.
 }
 
 // ---------------------------------------------------------------------------
