@@ -3,7 +3,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <iterator>
+#include <string_view>
 
 #include "core/obs/metrics.h"
 #include "core/obs/trace.h"
@@ -13,58 +14,63 @@ namespace hwsec::core {
 
 namespace {
 
-std::string hex_encode(const std::string& bytes) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const unsigned char b : bytes) {
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xF]);
-  }
-  return out.empty() ? "-" : out;  // "-" keeps empty payloads tokenizable.
-}
-
-bool hex_decode(const std::string& hex, std::string& out) {
-  out.clear();
-  if (hex == "-") {
-    return true;
-  }
-  if (hex.size() % 2 != 0) {
-    return false;
-  }
-  auto nibble = [](char c, int& v) {
-    if (c >= '0' && c <= '9') { v = c - '0'; return true; }
-    if (c >= 'a' && c <= 'f') { v = c - 'a' + 10; return true; }
-    return false;
-  };
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    int hi = 0, lo = 0;
-    if (!nibble(hex[i], hi) || !nibble(hex[i + 1], lo)) {
-      return false;
-    }
-    out.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return true;
-}
-
-// FNV-1a 64 over every content line (header + records, trailer excluded),
-// folding in a '\n' per line so reordering/splitting lines changes the hash.
-void fnv_line(std::uint64_t& hash, const std::string& line) {
-  hash = sim::fnv1a64("\n", sim::fnv1a64(line, hash));
-}
-
-std::string fnv_hex(std::uint64_t hash) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[hash & 0xF];
-    hash >>= 4;
-  }
-  return out;
-}
+constexpr std::uint16_t kCheckpointVersion = 3;
+constexpr std::uint8_t kRecordOk = 1;
+constexpr std::uint8_t kRecordSkipped = 2;
 
 }  // namespace
+
+void put_u16(std::string& out, std::uint16_t v) {
+  out.push_back(static_cast<char>(v & 0xFF));
+  out.push_back(static_cast<char>(v >> 8 & 0xFF));
+}
+
+void put_u32(std::string& out, std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<char>(v >> shift & 0xFF));
+  }
+}
+
+void put_u64(std::string& out, std::uint64_t v) {
+  for (int shift = 0; shift < 64; shift += 8) {
+    out.push_back(static_cast<char>(v >> shift & 0xFF));
+  }
+}
+
+void put_bytes(std::string& out, const std::string& bytes) {
+  put_u32(out, static_cast<std::uint32_t>(bytes.size()));
+  out.append(bytes);
+}
+
+void put_record(std::string& out, const CheckpointRecord& rec, bool skipped) {
+  out.push_back(static_cast<char>((rec.ok ? kRecordOk : 0) | (skipped ? kRecordSkipped : 0)));
+  put_u32(out, rec.attempts);
+  if (rec.ok) {
+    put_bytes(out, rec.payload);
+    return;
+  }
+  out.push_back(static_cast<char>(rec.kind));
+  put_bytes(out, rec.detail);
+  put_bytes(out, rec.machine);
+}
+
+bool get_record(Reader& r, CheckpointRecord& rec, bool* skipped) {
+  rec = CheckpointRecord{};
+  std::uint8_t flags = 0;
+  std::uint32_t attempts = 0;
+  if (!r.get_u8(flags) || !r.get_u32(attempts) ||
+      (flags & ~(kRecordOk | kRecordSkipped)) != 0 ||
+      ((flags & kRecordSkipped) != 0 && skipped == nullptr)) {
+    return false;
+  }
+  rec.ok = (flags & kRecordOk) != 0;
+  rec.attempts = attempts == 0 ? 1 : attempts;
+  if (skipped != nullptr) {
+    *skipped = (flags & kRecordSkipped) != 0;
+  }
+  return rec.ok ? r.get_bytes(rec.payload)
+                : r.get_u8(rec.kind) && r.get_bytes(rec.detail) && r.get_bytes(rec.machine);
+}
 
 bool write_file_atomic(const std::string& path, const std::string& content) {
   const std::string tmp = path + ".tmp";
@@ -91,17 +97,14 @@ CheckpointFile::CheckpointFile(std::uint64_t seed, std::size_t trials, std::size
                                std::string scope)
     : seed_(seed), trials_(trials), result_bytes_(result_bytes), scope_(std::move(scope)) {}
 
-std::string CheckpointFile::header_line() const {
-  std::ostringstream header;
-  header << "hwsec-checkpoint v2 seed=" << seed_ << " trials=" << trials_
-         << " result_bytes=" << result_bytes_;
-  // Scoped identities (tenant/job namespacing) extend the header; an empty
-  // scope stays byte-identical to pre-scope files, which keeps old
-  // single-owner checkpoints loadable.
-  if (!scope_.empty()) {
-    header << " scope=" << hex_encode(scope_);
-  }
-  return header.str();
+std::string CheckpointFile::header() const {
+  std::string out = "HWCK";
+  put_u16(out, kCheckpointVersion);
+  put_u64(out, seed_);
+  put_u64(out, trials_);
+  put_u64(out, result_bytes_);
+  put_bytes(out, scope_);
+  return out;
 }
 
 bool CheckpointFile::load(const std::string& path) {
@@ -114,7 +117,9 @@ bool CheckpointFile::load(const std::string& path) {
     if (!in) {
       return false;  // no file: a fresh campaign, nothing to warn about.
     }
-    return load_or_reject(in, path);
+    const std::string data((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    return load_or_reject(data, path);
   } catch (...) {
     records_.clear();
     warn_rejected(path, "unexpected exception while parsing");
@@ -129,89 +134,53 @@ void CheckpointFile::warn_rejected(const std::string& path, const std::string& r
             << "); starting fresh\n";
 }
 
-bool CheckpointFile::load_or_reject(std::istream& in, const std::string& path) {
-  std::uint64_t hash = sim::kFnv1a64Offset;
-  std::string line;
-  if (!std::getline(in, line)) {
-    warn_rejected(path, "empty or unreadable");
+bool CheckpointFile::load_or_reject(const std::string& data, const std::string& path) {
+  auto reject = [&path](const char* reason) {
+    warn_rejected(path, reason);
     return false;
+  };
+  if (data.empty()) {
+    return reject("empty or unreadable");
   }
-  if (line != header_line()) {
-    warn_rejected(path, "header mismatch (different campaign, scope, version, or corruption)");
-    return false;
+  const std::string expected = header();
+  if (data.compare(0, expected.size(), expected) != 0) {
+    // Also the path for v1/v2 text files: an upgrade re-runs their trials.
+    return reject("header mismatch (different campaign, scope, version, or corruption)");
   }
-  fnv_line(hash, line);
+  Reader r(data, expected.size());
+  std::uint64_t count = 0;
+  if (!r.get_u64(count)) {
+    return reject("truncated after the header (torn write?)");
+  }
+  if (count > trials_) {
+    return reject("record count out of range");
+  }
   std::map<std::size_t, CheckpointRecord> parsed;
-  bool saw_end = false;
-  std::size_t declared = 0;
-  std::string declared_fnv;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    fields >> tag;
-    if (tag == "end") {
-      if (!(fields >> declared >> declared_fnv)) {
-        warn_rejected(path, "malformed trailer");
-        return false;
-      }
-      saw_end = true;
-      break;
-    }
-    fnv_line(hash, line);
-    std::size_t index = 0;
-    unsigned attempts = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint64_t index = 0;
     CheckpointRecord rec;
-    if (tag == "ok") {
-      std::string hex;
-      if (!(fields >> index >> attempts >> hex)) {
-        warn_rejected(path, "truncated or malformed record");
-        return false;
-      }
-      rec.ok = true;
-      if (!hex_decode(hex, rec.payload) || rec.payload.size() != result_bytes_) {
-        warn_rejected(path, "corrupt result payload");
-        return false;
-      }
-    } else if (tag == "err") {
-      unsigned kind = 0;
-      std::string detail_hex;
-      std::string machine_hex;
-      if (!(fields >> index >> attempts >> kind >> detail_hex >> machine_hex)) {
-        warn_rejected(path, "truncated or malformed error record");
-        return false;
-      }
-      rec.ok = false;
-      rec.kind = static_cast<std::uint8_t>(kind);
-      if (!hex_decode(detail_hex, rec.detail) || !hex_decode(machine_hex, rec.machine)) {
-        warn_rejected(path, "corrupt error payload");
-        return false;
-      }
-    } else {
-      warn_rejected(path, "unrecognized record tag");
-      return false;
+    if (!r.get_u64(index) || !get_record(r, rec)) {
+      return reject("truncated or malformed record (torn write?)");
     }
     if (index >= trials_) {
-      warn_rejected(path, "record index out of range");
-      return false;
+      return reject("record index out of range");
     }
-    rec.attempts = attempts == 0 ? 1 : attempts;
-    parsed[index] = std::move(rec);
+    if (rec.ok && rec.payload.size() != result_bytes_) {
+      return reject("wrong result payload size");
+    }
+    if (!parsed.emplace(static_cast<std::size_t>(index), std::move(rec)).second) {
+      return reject("duplicate record index");
+    }
   }
-  if (!saw_end || declared != parsed.size()) {
-    // The classic torn write: the process died mid-file, so the trailer is
-    // missing or disagrees with the record count.
-    warn_rejected(path, "missing or inconsistent trailer (torn write?)");
-    return false;
+  std::uint64_t declared = 0;
+  if (!r.get_u64(declared) || !r.exhausted()) {
+    return reject("missing or misplaced checksum (torn write?)");
   }
-  // Content checksum: catches the corruption the line grammar cannot — a
-  // bit flip inside a still-well-formed hex payload would otherwise
-  // silently restore a wrong result.
-  if (declared_fnv != fnv_hex(hash)) {
-    warn_rejected(path, "content checksum mismatch (bit rot or tampering)");
-    return false;
+  // Content checksum: catches the corruption the layout cannot — a bit
+  // flip inside a result payload would otherwise silently restore a
+  // wrong result.
+  if (declared != sim::fnv1a64(std::string_view(data).substr(0, data.size() - 8))) {
+    return reject("content checksum mismatch (bit rot or tampering)");
   }
   records_ = std::move(parsed);
   return true;
@@ -228,25 +197,14 @@ bool CheckpointFile::save(const std::string& path) const {
   obs::ScopedTimer save_timer(kSaveUs);
   obs::Span save_span("checkpoint_save", static_cast<std::int64_t>(records_.size()),
                       "records");
-  std::ostringstream out;
-  std::uint64_t hash = sim::kFnv1a64Offset;
-  auto emit = [&out, &hash](const std::string& line) {
-    fnv_line(hash, line);
-    out << line << "\n";
-  };
-  emit(header_line());
+  std::string out = header();
+  put_u64(out, records_.size());
   for (const auto& [index, rec] : records_) {
-    std::ostringstream line;
-    if (rec.ok) {
-      line << "ok " << index << " " << rec.attempts << " " << hex_encode(rec.payload);
-    } else {
-      line << "err " << index << " " << rec.attempts << " " << static_cast<unsigned>(rec.kind)
-           << " " << hex_encode(rec.detail) << " " << hex_encode(rec.machine);
-    }
-    emit(line.str());
+    put_u64(out, index);
+    put_record(out, rec);
   }
-  out << "end " << records_.size() << " " << fnv_hex(hash) << "\n";
-  return write_file_atomic(path, out.str());
+  put_u64(out, sim::fnv1a64(out));
+  return write_file_atomic(path, out);
 }
 
 }  // namespace hwsec::core

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -132,6 +133,65 @@ TrialOutcome<Result> execute_trial(std::size_t index, std::uint64_t campaign_see
   return out;
 }
 
+/// The one TrialOutcome -> CheckpointRecord conversion: what checkpoints,
+/// shard kTrial frames and hwsecd result blobs store for a slot. A slot
+/// that never ran (skipped) converts to a failed record with no error.
+template <typename Result>
+CheckpointRecord to_record(const TrialOutcome<Result>& out) {
+  static_assert(std::is_trivially_copyable_v<Result>, "records hold raw Result bytes");
+  CheckpointRecord rec;
+  rec.ok = out.ok();
+  rec.attempts = out.attempts;
+  if (out.ok()) {
+    rec.payload.assign(reinterpret_cast<const char*>(&*out.result), sizeof(Result));
+  } else if (out.error.has_value()) {
+    rec.kind = static_cast<std::uint8_t>(out.error->kind());
+    rec.detail = out.error->detail();
+    rec.machine = out.error->machine();
+  }
+  return rec;
+}
+
+/// The inverse of to_record for slot `index` of the campaign seeded
+/// `campaign_seed` (which re-attributes a restored error to its trial).
+/// The caller has checked an ok record's payload size.
+template <typename Result>
+TrialOutcome<Result> from_record(const CheckpointRecord& rec, std::size_t index,
+                                 std::uint64_t campaign_seed) {
+  static_assert(std::is_trivially_copyable_v<Result>, "records hold raw Result bytes");
+  TrialOutcome<Result> out;
+  out.attempts = rec.attempts;
+  if (rec.ok) {
+    Result restored{};
+    std::memcpy(&restored, rec.payload.data(), sizeof(Result));
+    out.result = restored;
+  } else {
+    SimError err(static_cast<ErrorKind>(rec.kind), rec.detail);
+    if (!rec.machine.empty()) {
+      err.with_machine(rec.machine);
+    }
+    err.with_trial(index, hwsec::sim::derive_seed(campaign_seed, index));
+    out.error = std::move(err);
+  }
+  return out;
+}
+
+/// A record-producing trial runner (the shard worker's TrialRunner seam):
+/// owns its MachinePool and WallClockMonitor and captures everything by
+/// value, so a forked worker, a remote worker and the supervisor's
+/// in-process fallback each run trials exactly as execute_trial does.
+template <typename Result>
+std::function<CheckpointRecord(std::size_t)> record_runner(
+    std::uint64_t campaign_seed, const ResilienceConfig& res,
+    std::function<Result(const TrialContext&)> body) {
+  auto machines = std::make_shared<MachinePool>();
+  auto monitor = std::make_shared<WallClockMonitor>(res.wall_clock_timeout);
+  return [machines, monitor, campaign_seed, res, body = std::move(body)](std::size_t index) {
+    return to_record(
+        execute_trial<Result>(index, campaign_seed, res, machines.get(), *monitor, body));
+  };
+}
+
 }  // namespace detail
 
 /// Runs `config.trials` trials of `body` with fault containment. Returns
@@ -153,24 +213,11 @@ std::vector<TrialOutcome<Result>> run_campaign_resilient(
 
   std::vector<TrialOutcome<Result>> outcomes(config.trials);
   CheckpointFile checkpoint(config.seed, config.trials, sizeof(Result), res.checkpoint_scope);
-  if (checkpointing && checkpoint.load(res.checkpoint_path)) {
-    for (const auto& [index, rec] : checkpoint.records()) {
-      TrialOutcome<Result>& out = outcomes[index];
-      out.from_checkpoint = true;
-      out.attempts = rec.attempts;
-      if (rec.ok) {
-        if constexpr (kCheckpointable) {
-          Result restored{};
-          std::memcpy(&restored, rec.payload.data(), sizeof(Result));
-          out.result = restored;
-        }
-      } else {
-        SimError err(static_cast<ErrorKind>(rec.kind), rec.detail);
-        if (!rec.machine.empty()) {
-          err.with_machine(rec.machine);
-        }
-        err.with_trial(index, hwsec::sim::derive_seed(config.seed, index));
-        out.error = std::move(err);
+  if constexpr (kCheckpointable) {
+    if (checkpointing && checkpoint.load(res.checkpoint_path)) {
+      for (const auto& [index, rec] : checkpoint.records()) {
+        outcomes[index] = detail::from_record<Result>(rec, index, config.seed);
+        outcomes[index].from_checkpoint = true;
       }
     }
   }
@@ -250,17 +297,7 @@ std::vector<TrialOutcome<Result>> run_campaign_resilient(
     }
     if (checkpointing) {
       if constexpr (kCheckpointable) {
-        CheckpointRecord rec;
-        rec.attempts = out.attempts;
-        if (out.ok()) {
-          rec.ok = true;
-          rec.payload.assign(reinterpret_cast<const char*>(&*out.result), sizeof(Result));
-        } else {
-          rec.ok = false;
-          rec.kind = static_cast<std::uint8_t>(out.error->kind());
-          rec.detail = out.error->detail();
-          rec.machine = out.error->machine();
-        }
+        CheckpointRecord rec = detail::to_record(out);
         std::lock_guard<std::mutex> lock(checkpoint_mutex);
         checkpoint.record(i, std::move(rec));
         if (++completions_since_save >= checkpoint_every) {

@@ -2,11 +2,6 @@
 
 namespace hwsec::core::service {
 
-using shard::put_bytes;
-using shard::put_u32;
-using shard::put_u64;
-using shard::Reader;
-
 const char* job_state_name(JobState state) {
   switch (state) {
     case JobState::kQueued: return "queued";
@@ -81,22 +76,8 @@ std::string encode_outcomes(const ServiceOutcomes& outcomes) {
   std::string out;
   put_u64(out, outcomes.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const auto& o = outcomes[i];
     put_u64(out, i);
-    std::uint8_t flags = 0;
-    if (o.ok()) flags |= 1;
-    if (o.skipped) flags |= 2;
-    out.push_back(static_cast<char>(flags));
-    put_u32(out, o.attempts);
-    if (o.ok()) {
-      const ServiceTrialResult& r = *o.result;
-      std::string payload(reinterpret_cast<const char*>(&r), sizeof(r));
-      put_bytes(out, payload);
-    } else {
-      out.push_back(o.error.has_value() ? static_cast<char>(o.error->kind()) : 0);
-      put_bytes(out, o.error.has_value() ? o.error->detail() : std::string());
-      put_bytes(out, o.error.has_value() ? o.error->machine() : std::string());
-    }
+    put_record(out, detail::to_record(outcomes[i]), outcomes[i].skipped);
   }
   return out;
 }
@@ -105,34 +86,18 @@ bool decode_outcomes(const std::string& blob, std::vector<OutcomeRecord>& out) {
   out.clear();
   Reader r(blob);
   std::uint64_t count = 0;
-  if (!r.get_u64(count)) {
+  // Each slot costs >= 13 bytes (index + flags + attempts), so a count the
+  // blob cannot possibly hold is corruption — reject it before resize()
+  // turns it into a hundreds-of-GB allocation.
+  if (!r.get_u64(count) || count > (blob.size() - 8) / 13) {
     return false;
   }
-  // Each record costs >= 13 bytes on the wire (index + flags + attempts),
-  // so a count the blob cannot possibly hold is corruption — reject it
-  // before reserve() turns it into a hundreds-of-GB allocation.
-  if (count > (blob.size() - 8) / 13) {
-    return false;
-  }
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    OutcomeRecord rec;
-    std::uint8_t flags = 0;
-    if (!r.get_u64(rec.index) || !r.get_u8(flags) || !r.get_u32(rec.attempts)) {
+  out.resize(static_cast<std::size_t>(count));
+  for (OutcomeRecord& rec : out) {
+    if (!r.get_u64(rec.index) || !get_record(r, rec, &rec.skipped) ||
+        (rec.ok && rec.payload.size() != sizeof(ServiceTrialResult))) {
       return false;
     }
-    rec.ok = (flags & 1) != 0;
-    rec.skipped = (flags & 2) != 0;
-    if (rec.ok) {
-      if (!r.get_bytes(rec.payload) || rec.payload.size() != sizeof(ServiceTrialResult)) {
-        return false;
-      }
-    } else {
-      if (!r.get_u8(rec.kind) || !r.get_bytes(rec.detail) || !r.get_bytes(rec.machine)) {
-        return false;
-      }
-    }
-    out.push_back(std::move(rec));
   }
   return r.exhausted();
 }

@@ -13,11 +13,12 @@
 //                      kStatusReply(status JSON) | kServiceError(message)
 //
 // A submit/attach connection receives kSubmitted/kJobUpdate... then one
-// terminal kJobResult. The result record stream uses the SAME per-trial
-// record schema the checkpoint layer and worker pipes use, so "the daemon
-// returned exactly what a direct run produces" is a byte comparison — the
-// fnv1a-64 digest over the encoded records makes that comparison cheap
-// enough to assert in CI from two different machines.
+// terminal kJobResult. Its result blob is u64 slot count, then per slot a
+// u64 index + put_record (core/resilience/checkpoint.h) — the one record
+// layout checkpoint files and shard kTrial frames also carry. "The daemon
+// returned exactly what a direct run produces" is a byte comparison, and
+// the fnv1a-64 digest over the blob makes that comparison cheap enough to
+// assert in CI from two different machines.
 #pragma once
 
 #include <cstdint>
@@ -79,17 +80,11 @@ bool decode_job_result(const std::string& payload, JobResultPayload& out);
 
 // ---- outcome record stream ---------------------------------------------
 
-/// One wire-decoded trial outcome (schema mirrors CheckpointRecord plus
-/// the skipped marker).
-struct OutcomeRecord {
+/// One decoded slot of a result blob: the trial record (payload holds raw
+/// ServiceTrialResult bytes when ok) plus its index and skipped marker.
+struct OutcomeRecord : CheckpointRecord {
   std::uint64_t index = 0;
-  bool ok = false;
   bool skipped = false;
-  std::uint32_t attempts = 1;
-  std::string payload;   ///< raw ServiceTrialResult bytes when ok.
-  std::uint8_t kind = 0; ///< ErrorKind when failed.
-  std::string detail;
-  std::string machine;
 };
 
 /// Deterministic, order-preserving encoding of a full outcome vector.

@@ -4,10 +4,8 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <memory>
 #include <thread>
 
-#include "core/machine_pool.h"
 #include "core/resilience/resilient.h"
 #include "core/service/catalog.h"
 #include "core/service/spec.h"
@@ -47,30 +45,10 @@ bool serve_supervisor(shard::Transport& transport, const shard::HelloPayload& he
   res.wall_clock_timeout = std::chrono::milliseconds(welcome.wall_clock_timeout_ms);
   res.chaos = welcome.chaos;
 
-  // Mirrors run_campaign_sharded's make_runner byte for byte: one private
-  // MachinePool + WallClockMonitor per session, CheckpointRecord encoding
-  // identical to what a local forked worker would put on the wire.
-  auto machines = std::make_shared<MachinePool>();
-  auto monitor = std::make_shared<WallClockMonitor>(res.wall_clock_timeout);
-  const std::uint64_t seed = spec.seed;
-  const shard::TrialRunner runner = [machines, monitor, seed, res,
-                                     body](std::size_t index) {
-    const TrialOutcome<ServiceTrialResult> out = detail::execute_trial<ServiceTrialResult>(
-        index, seed, res, machines.get(), *monitor, body);
-    CheckpointRecord rec;
-    rec.attempts = out.attempts;
-    if (out.ok()) {
-      rec.ok = true;
-      rec.payload.assign(reinterpret_cast<const char*>(&*out.result),
-                         sizeof(ServiceTrialResult));
-    } else {
-      rec.ok = false;
-      rec.kind = static_cast<std::uint8_t>(out.error->kind());
-      rec.detail = out.error->detail();
-      rec.machine = out.error->machine();
-    }
-    return rec;
-  };
+  // The same record runner run_campaign_sharded hands its local workers,
+  // so a record computed here is byte-identical to a forked worker's.
+  const shard::TrialRunner runner =
+      detail::record_runner<ServiceTrialResult>(spec.seed, res, std::move(body));
 
   shard::WorkerEnv env;
   env.heartbeat_interval = std::chrono::milliseconds(welcome.heartbeat_ms);

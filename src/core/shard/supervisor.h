@@ -37,7 +37,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -197,24 +196,7 @@ std::vector<TrialOutcome<Result>> run_campaign_sharded(
     job.result_bytes = sizeof(Result);
     job.make_runner = [&config, &res, &body]() -> TrialRunner {
       // One pool + monitor per worker process (and per fallback episode).
-      auto machines = std::make_shared<MachinePool>();
-      auto monitor = std::make_shared<WallClockMonitor>(res.wall_clock_timeout);
-      return [machines, monitor, &config, &res, &body](std::size_t index) {
-        const TrialOutcome<Result> out = detail::execute_trial<Result>(
-            index, config.seed, res, machines.get(), *monitor, body);
-        CheckpointRecord rec;
-        rec.attempts = out.attempts;
-        if (out.ok()) {
-          rec.ok = true;
-          rec.payload.assign(reinterpret_cast<const char*>(&*out.result), sizeof(Result));
-        } else {
-          rec.ok = false;
-          rec.kind = static_cast<std::uint8_t>(out.error->kind());
-          rec.detail = out.error->detail();
-          rec.machine = out.error->machine();
-        }
-        return rec;
-      };
+      return detail::record_runner<Result>(config.seed, res, body);
     };
 
     const detail_shard::SupervisorResult merged = detail_shard::run_sharded(job, shard, res);
@@ -229,22 +211,8 @@ std::vector<TrialOutcome<Result>> run_campaign_sharded(
         outcomes[i].skipped = true;  // graceful shutdown or fail-fast drain.
         continue;
       }
-      const CheckpointRecord& rec = it->second;
-      TrialOutcome<Result>& out = outcomes[i];
-      out.attempts = rec.attempts;
-      out.from_checkpoint = merged.restored.count(i) != 0;
-      if (rec.ok) {
-        Result restored{};
-        std::memcpy(&restored, rec.payload.data(), sizeof(Result));
-        out.result = restored;
-      } else {
-        SimError err(static_cast<ErrorKind>(rec.kind), rec.detail);
-        if (!rec.machine.empty()) {
-          err.with_machine(rec.machine);
-        }
-        err.with_trial(i, hwsec::sim::derive_seed(config.seed, i));
-        out.error = std::move(err);
-      }
+      outcomes[i] = detail::from_record<Result>(it->second, i, config.seed);
+      outcomes[i].from_checkpoint = merged.restored.count(i) != 0;
     }
     if (merged.failfast_tripped) {
       for (const auto& out : outcomes) {

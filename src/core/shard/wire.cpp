@@ -9,28 +9,6 @@
 
 namespace hwsec::core::shard {
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>(v >> 8 & 0xFF));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>(v >> shift & 0xFF));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>(v >> shift & 0xFF));
-  }
-}
-
-void put_bytes(std::string& out, const std::string& bytes) {
-  put_u32(out, static_cast<std::uint32_t>(bytes.size()));
-  out.append(bytes);
-}
-
 namespace {
 
 constexpr std::size_t kHeaderBytes = 12;  // magic u32, version u16, type u16, length u32.
@@ -187,29 +165,13 @@ bool decode_assign(const std::string& payload, AssignPayload& out) {
 std::string encode_trial(const TrialPayload& trial) {
   std::string out;
   put_u64(out, trial.index);
-  out.push_back(trial.record.ok ? 1 : 0);
-  put_u32(out, trial.record.attempts);
-  out.push_back(static_cast<char>(trial.record.kind));
-  put_bytes(out, trial.record.payload);
-  put_bytes(out, trial.record.detail);
-  put_bytes(out, trial.record.machine);
+  put_record(out, trial.record);
   return out;
 }
 
 bool decode_trial(const std::string& payload, TrialPayload& out) {
   Reader r(payload);
-  std::uint8_t ok = 0;
-  std::uint8_t kind = 0;
-  std::uint32_t attempts = 0;
-  if (!r.get_u64(out.index) || !r.get_u8(ok) || !r.get_u32(attempts) || !r.get_u8(kind) ||
-      !r.get_bytes(out.record.payload) || !r.get_bytes(out.record.detail) ||
-      !r.get_bytes(out.record.machine) || !r.exhausted()) {
-    return false;
-  }
-  out.record.ok = ok != 0;
-  out.record.attempts = attempts == 0 ? 1 : attempts;
-  out.record.kind = kind;
-  return true;
+  return r.get_u64(out.index) && get_record(r, out.record) && r.exhausted();
 }
 
 std::string encode_shard_done(std::uint64_t shard_id) {

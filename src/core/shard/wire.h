@@ -3,10 +3,12 @@
 // Every message is one frame: a 12-byte header (magic u32, version u16,
 // type u16, payload length u32) followed by a little-endian payload. The magic rejects a
 // desynchronized or foreign stream outright; the version field makes the
-// protocol evolvable — a worker from a future build that speaks v2 is
-// detected at the first frame instead of silently misparsing trial bytes
-// (the failure matrix in DESIGN.md S21 treats that as a worker death, which
-// the supervisor already survives).
+// protocol evolvable — a worker from another build is detected at the
+// first frame (and named in the multi-host handshake) instead of silently
+// misparsing trial bytes (the failure matrix in DESIGN.md S21 treats that
+// as a worker death, which the supervisor already survives). Version 2
+// changed the kTrial payload to the shared record codec, so v1 workers are
+// turned away at the header.
 //
 // Frames (supervisor -> worker):
 //   kAssign    shard_id, [begin, end) trial range, assignment attempt, and
@@ -15,11 +17,11 @@
 //              only missing slots even though shards stay contiguous);
 //   kShutdown  drain and _exit(0).
 // Frames (worker -> supervisor):
-//   kTrial     one completed trial: index + the same record schema the
-//              checkpoint layer persists (ok/attempts/payload or
-//              kind/detail/machine) — the supervisor merges by index, so
-//              a duplicate delivery (straggler migration races) is
-//              idempotent by construction;
+//   kTrial     one completed trial: u64 index + put_record, the record
+//              layout checkpoints and hwsecd result blobs also use (never
+//              skipped) — the supervisor merges by index, so a duplicate
+//              delivery (straggler migration races) is idempotent by
+//              construction;
 //   kShardDone shard_id finished;
 //   kHeartbeat liveness beacon from the worker's heartbeat thread; its age
 //              is the supervisor's hang detector (a SIGSTOPped worker stops
@@ -42,7 +44,7 @@
 namespace hwsec::core::shard {
 
 inline constexpr std::uint32_t kWireMagic = 0x43535748u;  // "HWSC", little-endian.
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 
 /// Hard ceiling on a frame payload accepted by this codec. Big enough for
 /// the largest legitimate frame (a kJobResult records blob at the default
@@ -89,64 +91,15 @@ enum class FrameType : std::uint16_t {
   kServiceError = 24,   ///< daemon -> client: request-level failure message.
 };
 
-// ---- little-endian byte codec -----------------------------------------
-// Shared by the pipe payload codecs below and the service protocol: one
-// place defines how integers and length-prefixed byte strings look on any
-// hwsec wire.
-
-void put_u16(std::string& out, std::uint16_t v);
-void put_u32(std::string& out, std::uint32_t v);
-void put_u64(std::string& out, std::uint64_t v);
-/// u32 length prefix + raw bytes.
-void put_bytes(std::string& out, const std::string& bytes);
-
-/// Bounds-checked little-endian reader; every get_* fails cleanly on a
-/// truncated payload instead of reading past the end.
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  bool get_u8(std::uint8_t& v) {
-    if (pos_ + 1 > data_.size()) return false;
-    v = static_cast<std::uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool get_u16(std::uint16_t& v) {
-    std::uint64_t wide = 0;
-    if (!get_le(2, wide)) return false;
-    v = static_cast<std::uint16_t>(wide);
-    return true;
-  }
-  bool get_u32(std::uint32_t& v) {
-    std::uint64_t wide = 0;
-    if (!get_le(4, wide)) return false;
-    v = static_cast<std::uint32_t>(wide);
-    return true;
-  }
-  bool get_u64(std::uint64_t& v) { return get_le(8, v); }
-  bool get_bytes(std::string& out) {
-    std::uint32_t n = 0;
-    if (!get_u32(n) || pos_ + n > data_.size()) return false;
-    out.assign(data_, pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool exhausted() const { return pos_ == data_.size(); }
-
- private:
-  bool get_le(std::size_t bytes, std::uint64_t& v) {
-    if (pos_ + bytes > data_.size()) return false;
-    v = 0;
-    for (std::size_t i = 0; i < bytes; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += bytes;
-    return true;
-  }
-
-  const std::string& data_;
-  std::size_t pos_ = 0;
-};
+// The little-endian byte codec and the trial-record codec live next to
+// CheckpointRecord (core/resilience/checkpoint.h); every hwsec wire and
+// file uses them. Re-exported so shard code and its tests can name them
+// as shard::.
+using core::put_bytes;
+using core::put_u16;
+using core::put_u32;
+using core::put_u64;
+using core::Reader;
 
 struct Frame {
   FrameType type = FrameType::kHeartbeat;
@@ -221,7 +174,7 @@ struct AssignPayload {
 
 struct TrialPayload {
   std::uint64_t index = 0;
-  CheckpointRecord record;  ///< same schema the checkpoint layer persists.
+  CheckpointRecord record;
 };
 
 std::string encode_assign(const AssignPayload& assign);

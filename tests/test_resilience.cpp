@@ -617,9 +617,8 @@ std::string write_sample_checkpoint(const std::string& path) {
 TEST(Checkpoint, TruncatedFileIsRejectedNotFatal) {
   const std::string path = ckpt_path("truncated");
   const std::string intact = write_sample_checkpoint(path);
-  // Chop the file at several depths — mid-trailer, mid-record, mid-header.
-  for (const std::size_t keep :
-       {intact.size() - 3, intact.size() / 2, std::size_t{10}, std::size_t{0}}) {
+  // Chop the file at every depth — mid-header, mid-record, mid-checksum.
+  for (std::size_t keep = 0; keep < intact.size(); ++keep) {
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(intact.data(), static_cast<std::streamsize>(keep));
@@ -634,21 +633,21 @@ TEST(Checkpoint, TruncatedFileIsRejectedNotFatal) {
 TEST(Checkpoint, BitFlippedPayloadIsCaughtByChecksum) {
   const std::string path = ckpt_path("bitflip");
   const std::string intact = write_sample_checkpoint(path);
-  // Flip one payload hex digit to a DIFFERENT valid hex digit: the line
-  // grammar still parses, so only the content checksum can catch it.
-  const std::size_t ok_line = intact.find("\nok ");
-  ASSERT_NE(ok_line, std::string::npos);
-  // The last payload hex char of the first record line.
-  const std::size_t digit = intact.find('\n', ok_line + 1) - 1;
+  // Flip one bit inside the first record's raw result bytes: the layout
+  // still parses, so only the content checksum can catch it.
+  const std::uint64_t first = sim::derive_seed(55, 0);
+  const std::size_t payload =
+      intact.find(std::string(reinterpret_cast<const char*>(&first), sizeof(first)));
+  ASSERT_NE(payload, std::string::npos);
   std::string corrupt = intact;
-  corrupt[digit] = corrupt[digit] == 'a' ? 'b' : 'a';
+  corrupt[payload + 3] = static_cast<char>(corrupt[payload + 3] ^ 0x10);
   ASSERT_NE(corrupt, intact);
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << corrupt;
   }
   core::CheckpointFile load(55, 6, sizeof(std::uint64_t));
-  EXPECT_FALSE(load.load(path)) << "a bit flip inside well-formed hex was restored";
+  EXPECT_FALSE(load.load(path)) << "a bit flip inside a well-formed record was restored";
   EXPECT_EQ(load.size(), 0u);
   // The intact bytes still load (the corruption above is what broke it).
   {
@@ -662,15 +661,17 @@ TEST(Checkpoint, BitFlippedPayloadIsCaughtByChecksum) {
 
 TEST(Checkpoint, GarbageAndBinaryFilesFallBackToFreshRun) {
   const std::string path = ckpt_path("garbage");
-  for (const std::string content :
+  for (const std::string& content :
        {std::string("not a checkpoint at all\n"), std::string("\x00\xFF\x7F garbage", 12),
-        std::string("hwsec-checkpoint v1 seed=55 trials=6 result_bytes=8\nend 0\n")}) {
+        std::string("hwsec-checkpoint v1 seed=55 trials=6 result_bytes=8\nend 0\n"),
+        std::string("hwsec-checkpoint v2 seed=55 trials=6 result_bytes=8\n"
+                    "end 0 6e3d57c821de19f0\n")}) {
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out << content;
     }
     core::CheckpointFile load(55, 6, sizeof(std::uint64_t));
-    EXPECT_FALSE(load.load(path));  // v1 (pre-checksum) files are rejected too.
+    EXPECT_FALSE(load.load(path));  // v1/v2 text checkpoints are rejected too.
     EXPECT_EQ(load.size(), 0u);
   }
   // A campaign pointed at the garbage file starts fresh and succeeds.

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -248,6 +249,48 @@ TEST(ProtocolCodec, OutcomeStreamRoundTripsAndResumeKeepsBytes) {
   std::remove(path.c_str());
 }
 
+// The result blob is what hwsecd clients digest and compare across
+// machines and builds, so its bytes are pinned: any change to the record
+// layout (or to how an outcome becomes a record) fails here first.
+TEST(ProtocolCodec, OutcomeBlobBytesArePinned) {
+  service::ServiceOutcomes outcomes(3);
+  outcomes[0].result = service::ServiceTrialResult{0x1122334455667788ull, 0x99};
+  outcomes[0].attempts = 2;
+  outcomes[1].error = hwsec::SimError(hwsec::ErrorKind::kTimedOut,
+                                      "cycle budget of 5000 exhausted");
+  outcomes[1].error->with_machine("embedded");
+  outcomes[2].skipped = true;
+  const std::string blob = service::encode_outcomes(outcomes);
+  EXPECT_EQ(blob.size(), 123u);
+  EXPECT_EQ(service::fnv1a64(blob), 0xc72bfc9d1b03afa0ull);
+
+  std::vector<service::OutcomeRecord> decoded;
+  ASSERT_TRUE(service::decode_outcomes(blob, decoded));
+  ASSERT_EQ(decoded.size(), 3u);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(decoded[i].index, i);
+    EXPECT_EQ(decoded[i].skipped, i == 2);
+  }
+  EXPECT_TRUE(decoded[0].ok);
+  EXPECT_EQ(decoded[0].attempts, 2u);
+  service::ServiceTrialResult r0;
+  ASSERT_EQ(decoded[0].payload.size(), sizeof(r0));
+  std::memcpy(&r0, decoded[0].payload.data(), sizeof(r0));
+  EXPECT_EQ(r0.lo, 0x1122334455667788ull);
+  EXPECT_EQ(r0.hi, 0x99u);
+  EXPECT_FALSE(decoded[1].ok);
+  EXPECT_EQ(decoded[1].attempts, 1u);
+  EXPECT_EQ(static_cast<hwsec::ErrorKind>(decoded[1].kind), hwsec::ErrorKind::kTimedOut);
+  EXPECT_EQ(decoded[1].detail, "cycle budget of 5000 exhausted");
+  EXPECT_EQ(decoded[1].machine, "embedded");
+  EXPECT_FALSE(decoded[2].ok);
+  EXPECT_EQ(decoded[2].attempts, 1u);
+  EXPECT_EQ(decoded[2].kind, 0u);
+  EXPECT_TRUE(decoded[2].payload.empty());
+  EXPECT_TRUE(decoded[2].detail.empty());
+  EXPECT_TRUE(decoded[2].machine.empty());
+}
+
 // A corrupt/hostile result blob claiming 2^32 records in a handful of
 // bytes must be rejected up front, not turned into a hundreds-of-GB
 // reserve() in the client.
@@ -387,11 +430,28 @@ TEST(CheckpointScope, DifferentScopeRejectsSameConfigFile) {
 TEST(CheckpointScope, EmptyScopeKeepsLegacyHeader) {
   const std::string path = temp_path("scope_legacy", ".ckpt");
   core::CheckpointFile file(7, 3, 8);
+  core::CheckpointRecord rec;
+  rec.ok = true;
+  rec.payload.assign(8, '\x11');
+  file.record(2, rec);
   ASSERT_TRUE(file.save(path));
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "hwsec-checkpoint v2 seed=7 trials=3 result_bytes=8");
+  // The empty scope is the config-only identity: it reloads unscoped, and
+  // a scoped owner of the same config never picks it up.
+  core::CheckpointFile reload(7, 3, 8);
+  EXPECT_TRUE(reload.load(path));
+  EXPECT_EQ(reload.size(), 1u);
+  core::CheckpointFile scoped(7, 3, 8, "alice/j1");
+  EXPECT_FALSE(scoped.load(path));
+  EXPECT_EQ(scoped.size(), 0u);
+  // A valid v2 text checkpoint left behind by an older build is discarded
+  // (with a warning), never misparsed: its trials re-run from zero.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "hwsec-checkpoint v2 seed=7 trials=3 result_bytes=8\nend 0 8c76a367e962392a\n";
+  }
+  core::CheckpointFile legacy(7, 3, 8);
+  EXPECT_FALSE(legacy.load(path));
+  EXPECT_EQ(legacy.size(), 0u);
   std::remove(path.c_str());
 }
 

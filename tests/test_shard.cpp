@@ -110,6 +110,18 @@ TEST(Wire, FramesRoundTripThroughAPipe) {
     EXPECT_EQ(got.record.detail, "cycle budget exhausted");
     EXPECT_EQ(got.record.machine, "mobile");
   }
+  {
+    // Inputs decode_trial must refuse: a kTrial record carrying the
+    // skipped flag (a worker never reports a slot it did not run) and a
+    // payload one byte short.
+    std::string skipped = shard::encode_trial(trial);
+    skipped[8] = static_cast<char>(skipped[8] | 2);  // flags byte after the u64 index.
+    shard::TrialPayload got;
+    EXPECT_FALSE(shard::decode_trial(skipped, got));
+    const std::string full = shard::encode_trial(err_trial);
+    EXPECT_TRUE(shard::decode_trial(full, got));
+    EXPECT_FALSE(shard::decode_trial(full.substr(0, full.size() - 1), got));
+  }
   close(fds[0]);
   close(fds[1]);
 }
