@@ -5,8 +5,8 @@
 // sim::Machine — fresh-built or pool-reset — after install_env() compiles
 // the shared EnvSpec into it. The verdict diffs all committed architectural
 // state: registers, pc, halt/executed counters, the fault log, the leak
-// hash, and every DRAM page. On top of the diff, two directed security
-// invariants run against the machine after every trial:
+// hash, and DRAM. On top of the diff, two directed security invariants run
+// against the machine after every trial:
 //
 //  * deny-is-fault: a normal-context probe load of the enclave-owned
 //    secret page must raise a fault, not silently succeed — and in
@@ -16,8 +16,19 @@
 //    must match between machine and oracle, and must equal the pre-trial
 //    measurement unless the enclave itself wrote the region.
 //
-// Per-trial cost is dominated by the two executions; the DRAM diff
-// compares pages against baseline-or-overlay with memcmp.
+// The DRAM diff memcmps machine pages against baseline-or-overlay. A full
+// sweep of all pages costs ~3/4 of a trial, far more than the two
+// executions, so a pool-reset machine compares only the union of its dirty
+// pages (PhysicalMemory::dirty_bitmap) and the oracle's overlay pages:
+// every other page is the pristine image on the machine and the baseline
+// on the oracle, which are the same bytes. Walked in ascending page order,
+// that set yields exactly the full sweep's mismatch list. The full sweep
+// stays for fresh machines (which also covers the shrinker and corpus
+// replay), for memory whose dirty tracking was bypassed, and for pooled
+// trials whose seed is a multiple of 16, which is what catches a missed
+// dirty bit leaving stale pool state behind. The measured region is
+// hashed only when it no longer equals the baseline bytes on both sides.
+// Every choice depends only on (arch, seed, variant, inject).
 #pragma once
 
 #include <array>

@@ -22,6 +22,9 @@ constexpr sim::DomainId kEnclaveDomain = 16;
 constexpr sim::Asid kNormalAsid = 10;
 constexpr sim::Asid kEnclaveAsid = 20;
 
+// What BugInjection::kDropDirtyBit stores behind the dirty bitmap's back.
+constexpr sim::Word kDroppedDirtyWord = 0xD1D7'B175u;
+
 // Virtual layout for the MMU profiles. Everything lives in one 4 MiB L1
 // region (one L2 table); kUnmappedLeaf has an L2 slot whose PTE is zero,
 // kUnmappedL1 has no L1 entry at all — the two distinct not-present walks.
@@ -234,7 +237,8 @@ sim::PhysAddr install_env(sim::Machine& machine, const EnvSpec& spec_in, Machine
   sim::PhysicalMemory& mem = machine.memory();
   sim::Cpu& cpu = machine.cpu(0);
 
-  const bool enforce = inject == BugInjection::kNone;
+  const bool enforce =
+      inject != BugInjection::kSkipDomainCheck && inject != BugInjection::kSilentZero;
   sim::PhysAddr root = 0;  // page-table root (0 for bare profiles).
 
   if (spec.has_mmu) {
@@ -360,6 +364,12 @@ sim::PhysAddr install_env(sim::Machine& machine, const EnvSpec& spec_in, Machine
     if (spec.lock_mpu) {
       machine.mpu().lock();
     }
+  }
+
+  if (inject == BugInjection::kDropDirtyBit) {
+    // The last DRAM page lies beyond every frame and address the
+    // environment or the generator uses.
+    mem.inject_write32_without_dirty_bit(mem.size() - sim::kPageSize, kDroppedDirtyWord);
   }
 
   // Halt stub: the fault handler's recovery vector.

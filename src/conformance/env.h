@@ -77,6 +77,11 @@ enum class BugInjection : std::uint8_t {
   /// firewall is replaced by nothing and the secret page is zeroed on the
   /// machine only): MPU/MMU deny must be a fault, not silent zero.
   kSilentZero,
+  /// Enforcement stays intact, but one nonzero word lands in a DRAM page
+  /// nothing else touches through a store that skips the dirty bit: a
+  /// write path that forgot mark_dirty(). Only the differ's full sweeps
+  /// (fresh trials, and the seeded sweep of pooled trials) can see it.
+  kDropDirtyBit,
 };
 
 /// One execution context (the ecall services switch between these).

@@ -32,6 +32,15 @@ Word PhysicalMemory::read32(PhysAddr addr) const {
 void PhysicalMemory::write32(PhysAddr addr, Word value) {
   assert(contains(addr, 4));
   mark_dirty(addr, 4);
+  store32(addr, value);
+}
+
+void PhysicalMemory::inject_write32_without_dirty_bit(PhysAddr addr, Word value) {
+  assert(contains(addr, 4));
+  store32(addr, value);
+}
+
+void PhysicalMemory::store32(PhysAddr addr, Word value) {
   data_[addr] = static_cast<std::uint8_t>(value);
   data_[addr + 1] = static_cast<std::uint8_t>(value >> 8);
   data_[addr + 2] = static_cast<std::uint8_t>(value >> 16);
@@ -85,14 +94,16 @@ void PhysicalMemory::fill(PhysAddr addr, std::uint32_t len, std::uint8_t value) 
 
 PhysicalMemory::Snapshot PhysicalMemory::snapshot() {
   Snapshot snap;
-  snap.image = data_;
   tracking_ = true;
   raw_dirty_ = false;
-  const std::size_t words = (data_.size() / kPageSize + 63) / 64;
-  dirty_.assign(words, 0);
-  // Record which pages are all-zero in the snapshot image (see fill()).
-  zero_snap_.assign(words, 0);
   const std::uint32_t pages = static_cast<std::uint32_t>(data_.size() / kPageSize);
+  const std::size_t words = (pages + 63) / 64;
+  dirty_.assign(words, 0);
+  // Record which pages are all-zero in the snapshot image (see fill());
+  // only the others are copied into it.
+  zero_snap_.assign(words, 0);
+  snap.slot.assign(pages, Snapshot::kZeroPage);
+  std::uint32_t stored = 0;
   for (std::uint32_t p = 0; p < pages; ++p) {
     const std::uint8_t* page = data_.data() + static_cast<std::size_t>(p) * kPageSize;
     bool zero = true;
@@ -106,19 +117,34 @@ PhysicalMemory::Snapshot PhysicalMemory::snapshot() {
     }
     if (zero) {
       zero_snap_[p >> 6] |= 1ull << (p & 63);
+    } else {
+      snap.slot[p] = stored++;
+      snap.pages.insert(snap.pages.end(), page, page + kPageSize);
     }
   }
   return snap;
 }
 
+void PhysicalMemory::restore_page(const Snapshot& snap, std::uint32_t page) {
+  std::uint8_t* dst = data_.data() + static_cast<std::size_t>(page) * kPageSize;
+  const std::uint32_t slot = snap.slot[page];
+  if (slot == Snapshot::kZeroPage) {
+    std::memset(dst, 0, kPageSize);
+  } else {
+    std::memcpy(dst, snap.pages.data() + static_cast<std::size_t>(slot) * kPageSize, kPageSize);
+  }
+}
+
 void PhysicalMemory::restore(const Snapshot& snap) {
-  assert(snap.image.size() == data_.size());
+  const std::uint32_t pages = static_cast<std::uint32_t>(data_.size() / kPageSize);
+  assert(snap.slot.size() == pages);
   if (!tracking_ || raw_dirty_) {
     // No tracking (snapshot taken elsewhere) or the fast path was poisoned
-    // by a mutable raw() span: fall back to a full-image copy.
-    data_ = snap.image;
+    // by a mutable raw() span: fall back to restoring every page.
+    for (std::uint32_t page = 0; page < pages; ++page) {
+      restore_page(snap, page);
+    }
   } else {
-    const std::uint32_t pages = static_cast<std::uint32_t>(data_.size() / kPageSize);
     for (std::uint32_t word = 0; word < dirty_.size(); ++word) {
       std::uint64_t bits = dirty_[word];
       while (bits != 0) {
@@ -128,8 +154,7 @@ void PhysicalMemory::restore(const Snapshot& snap) {
         if (page >= pages) {
           break;
         }
-        const std::size_t off = static_cast<std::size_t>(page) * kPageSize;
-        std::copy_n(snap.image.begin() + off, kPageSize, data_.begin() + off);
+        restore_page(snap, page);
       }
     }
   }

@@ -6,12 +6,15 @@
 // creation/teardown, which is exactly why SGX-class designs add a memory
 // encryption engine (modeled in src/arch/sgx.*).
 //
-// Snapshot/restore: snapshot() captures the full image and turns on
-// dirty-page tracking (one bit per 4 KiB page, set by every write path).
-// restore() copies back only the pages dirtied since the snapshot, so the
-// cost of resetting a machine between campaign trials scales with the
-// trial's write footprint, not with DRAM size. The snapshot/reset layer in
-// sim/machine.h builds on this.
+// Snapshot/restore: snapshot() captures the image (storing only its
+// non-zero pages) and turns on dirty-page tracking (one bit per 4 KiB
+// page, set by every write path). restore() copies back only the pages
+// dirtied since the snapshot, so the cost of resetting a machine between
+// campaign trials scales with the trial's write footprint, not with DRAM
+// size. The snapshot/reset layer in sim/machine.h builds on this. The
+// conformance differ is the bitmap's other reader: on a pool-reset machine
+// it compares only the dirty pages (plus the oracle's written pages)
+// instead of all of DRAM.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +55,15 @@ class PhysicalMemory {
   void fill(PhysAddr addr, std::uint32_t len, std::uint8_t value);
 
   // -- snapshot / dirty-page restore ------------------------------------
+  /// A DRAM image that stores only its non-zero pages: most of a
+  /// machine's DRAM is still zero when the pool takes its pristine
+  /// snapshot, and a full copy per pooled machine is what dominated the
+  /// fuzzer's peak RSS.
   struct Snapshot {
-    std::vector<std::uint8_t> image;
+    static constexpr std::uint32_t kZeroPage = ~0u;
+    /// Per page: its index in `pages`, or kZeroPage for an all-zero page.
+    std::vector<std::uint32_t> slot;
+    std::vector<std::uint8_t> pages;  ///< the non-zero pages, in page order.
   };
 
   /// Captures the current contents and enables dirty-page tracking from
@@ -61,15 +71,31 @@ class PhysicalMemory {
   Snapshot snapshot();
 
   /// Restores the snapshot image, copying back only pages dirtied since
-  /// snapshot() (a full copy if tracking was bypassed via mutable raw()).
+  /// snapshot() (every page if tracking was bypassed via mutable raw()).
   /// Tracking stays enabled with a clean slate, so a machine can be
   /// restored repeatedly from the same snapshot. The snapshot must come
-  /// from this memory (asserted via size).
+  /// from this memory (asserted via its page count).
   void restore(const Snapshot& snap);
 
   /// Dirty pages since the last snapshot()/restore(), for tests and for
   /// reasoning about restore cost.
   std::uint32_t dirty_page_count() const;
+
+  /// True while the dirty bitmap is complete: a snapshot() or restore()
+  /// enabled tracking and no mutable raw() span has been handed out since.
+  /// Only then is every page outside dirty_bitmap() byte-identical to the
+  /// last snapshot image.
+  bool dirty_tracked() const { return tracking_ && !raw_dirty_; }
+
+  /// Pages written since the last snapshot()/restore(), one bit per page
+  /// (bit p % 64 of word p / 64). Meaningful only when dirty_tracked().
+  std::span<const std::uint64_t> dirty_bitmap() const { return dirty_; }
+
+  /// Fault-injection hook, not a store for simulated accesses: writes a
+  /// word WITHOUT setting its page's dirty bit, reproducing a write path
+  /// that forgot mark_dirty(). Conformance self-tests use it to prove the
+  /// differ's full sweeps catch a missed dirty bit.
+  void inject_write32_without_dirty_bit(PhysAddr addr, Word value);
 
   /// Direct access to the backing store, for checkpointing in tests. The
   /// mutable overload bypasses dirty tracking, so using it while a
@@ -82,6 +108,8 @@ class PhysicalMemory {
   }
 
  private:
+  void store32(PhysAddr addr, Word value);
+  void restore_page(const Snapshot& snap, std::uint32_t page);
   void mark_dirty(PhysAddr addr, std::uint32_t len) {
     if (!tracking_) {
       return;

@@ -8,8 +8,9 @@
 //   HWSEC_FUZZ_WORKERS/ --workers W    worker threads (0 = hardware default)
 //   --corpus-dir DIR                   write minimized failing cases here
 //   --arch NAME                        restrict to one architecture profile
-//   --inject-bug[=skip-domain-check|silent-zero]
-//       self-test mode: deliberately mis-install machine-side enforcement,
+//   --inject-bug[=skip-domain-check|silent-zero|drop-dirty-bit]
+//       self-test mode: deliberately mis-install machine-side enforcement
+//       (or, for drop-dirty-bit, write DRAM behind the dirty bitmap's back),
 //       and exit 0 only if the fuzzer catches it AND shrinks a reproducer
 //       to <= 20 instructions. CI runs this to prove the oracle has teeth.
 #include <cstdio>
@@ -26,7 +27,8 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--trials N] [--seed S] [--workers W] [--corpus-dir DIR]\n"
-               "          [--arch NAME] [--inject-bug[=skip-domain-check|silent-zero]]\n",
+               "          [--arch NAME]\n"
+               "          [--inject-bug[=skip-domain-check|silent-zero|drop-dirty-bit]]\n",
                argv0);
   return 2;
 }
@@ -83,6 +85,8 @@ int main(int argc, char** argv) {
         config.inject = conf::BugInjection::kSkipDomainCheck;
       } else if (which == "silent-zero") {
         config.inject = conf::BugInjection::kSilentZero;
+      } else if (which == "drop-dirty-bit") {
+        config.inject = conf::BugInjection::kDropDirtyBit;
       } else {
         return usage(argv[0]);
       }

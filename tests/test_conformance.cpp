@@ -1,17 +1,25 @@
 // Differential conformance fuzzer: the fuzzer's own test suite.
 //
-// Covers the four claims the subsystem makes:
+// Covers the five claims the subsystem makes:
 //  * determinism — same seed, same verdict sequence at any worker count;
 //  * soundness  — all eight architecture profiles run divergence-free
 //    (a sample here; CI's fuzz-smoke job runs the 10k-program budget);
 //  * teeth      — a deliberately mis-installed enforcement mechanism is
 //    caught and shrunk to a <= 20-instruction reproducer;
 //  * regression — every minimized case in tests/corpus/ replays clean,
-//    and the corpus format round-trips exactly.
+//    and the corpus format round-trips exactly;
+//  * diff scope — pooled trials compare only dirty and oracle-written
+//    pages, yet miss nothing: the precondition holds on every arch, an
+//    oracle-only page is still compared, and a dropped dirty bit is caught
+//    by the fresh and seeded pooled full sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "conformance/corpus.h"
@@ -20,6 +28,7 @@
 #include "conformance/generator.h"
 #include "conformance/shrink.h"
 #include "core/campaign.h"
+#include "core/obs/metrics.h"
 
 namespace conf = hwsec::conformance;
 namespace core = hwsec::core;
@@ -102,6 +111,125 @@ TEST(Conformance, InjectedSilentZeroTripsInvariant) {
                                               conf::MachineVariant::kFresh,
                                               conf::BugInjection::kSilentZero);
   EXPECT_TRUE(v.failed());
+}
+
+TEST(Conformance, InjectedDroppedDirtyBitIsCaughtAndShrunk) {
+  conf::FuzzConfig config;
+  config.seed = 0xD1D7;
+  config.trials = 16;  // trial 0 builds a fresh machine: a full sweep.
+  config.inject = conf::BugInjection::kDropDirtyBit;
+  config.max_shrunk = 1;
+  const conf::FuzzReport report = conf::run_fuzz(config);
+  ASSERT_GT(report.divergences, 0u) << "a write behind the dirty bitmap went undetected";
+  ASSERT_FALSE(report.failures.empty());
+  const conf::FuzzFailure& f = report.failures.front();
+  EXPECT_LE(f.instructions, 20u);
+  const conf::ArchContext& arch = conf::arch_context(f.verdict.arch);
+  EXPECT_TRUE(conf::run_case(arch, f.shrunk, 0, nullptr, conf::MachineVariant::kFresh,
+                             conf::BugInjection::kDropDirtyBit)
+                  .failed());
+  EXPECT_FALSE(
+      conf::run_case(arch, f.shrunk, 0, nullptr, conf::MachineVariant::kFresh).failed());
+}
+
+TEST(Conformance, SeededPooledSweepCatchesDroppedDirtyBit) {
+  // Pooled machines only: the dirty-page diff cannot see the injected word,
+  // so only the full sweep of pooled trials whose seed is a multiple of 16
+  // catches it, and only those trials fail.
+  conf::FuzzConfig config;
+  config.seed = 0xD1D7;
+  config.trials = 128;
+  config.fresh_every = 0;
+  config.inject = conf::BugInjection::kDropDirtyBit;
+  config.max_shrunk = 1;
+  const conf::FuzzReport report = conf::run_fuzz(config);
+  EXPECT_GT(report.divergences, 0u) << "stale pool state escaped the seeded sweep";
+  EXPECT_LT(report.divergences, report.trials) << "pooled trials must take the dirty path";
+  for (const conf::FuzzFailure& f : report.failures) {
+    EXPECT_EQ(f.verdict.seed % 16, 0u);
+    EXPECT_LE(f.instructions, 20u);
+  }
+}
+
+TEST(Conformance, PristineMachineEqualsBaselineOutsideInstallFootprint) {
+  // The dirty-page diff assumes that every page install_env does not dirty
+  // holds the same bytes on a pool's pristine machine as in the oracle's
+  // baseline. Any seed must do: the pool builds with the first trial's.
+  for (const conf::FuzzArch a : conf::kAllFuzzArchs) {
+    const conf::ArchContext& arch = conf::arch_context(a);
+    hwsec::sim::Machine machine(arch.profile, 0xB45E + static_cast<std::uint64_t>(a));
+    (void)machine.snapshot();
+    conf::MachineRunLog log;
+    conf::install_env(machine, arch.spec, log);
+    const hwsec::sim::PhysicalMemory& mem = std::as_const(machine.memory());
+    ASSERT_TRUE(mem.dirty_tracked()) << conf::to_string(a);
+    ASSERT_EQ(mem.raw().size(), arch.baseline.size());
+    // Root, L2 table, 2 data, rodata, supervisor and secret frames on MMU
+    // profiles; 2 data, rodata and secret pages on MPU ones.
+    EXPECT_EQ(mem.dirty_page_count(), arch.spec.has_mmu ? 7u : 4u) << conf::to_string(a);
+    const std::span<const std::uint64_t> dirty = mem.dirty_bitmap();
+    const std::uint32_t pages = mem.size() / hwsec::sim::kPageSize;
+    for (std::uint32_t p = 0; p < pages; ++p) {
+      if ((dirty[p / 64] >> (p % 64)) & 1) {
+        continue;
+      }
+      const std::size_t off = static_cast<std::size_t>(p) * hwsec::sim::kPageSize;
+      EXPECT_EQ(std::memcmp(mem.raw().data() + off, arch.baseline.data() + off,
+                            hwsec::sim::kPageSize),
+                0)
+          << conf::to_string(a) << " page " << p << " is clean but differs from the baseline";
+    }
+  }
+}
+
+TEST(Conformance, PooledDiffComparesPagesOnlyTheOracleWrote) {
+  // Under silent-zero the machine's secret load returns 0 where the
+  // oracle's faults and leaves r1 = 1, so only the oracle takes the store
+  // to a page outside every MPU region and outside install_env's
+  // footprint. The machine never dirties that page: the pooled diff finds
+  // the mismatch only through the oracle's overlay, and must report it
+  // exactly as the fresh machine's full sweep does.
+  namespace sim = hwsec::sim;
+  constexpr sim::PhysAddr kUntouched = 0x0008'0000;
+  const conf::ArchContext& arch = conf::arch_context(conf::FuzzArch::kTrustLite);
+  conf::GeneratedCase test;
+  sim::ProgramBuilder normal(arch.spec.code_base);
+  normal.li(sim::R1, 1)
+      .li(sim::R2, static_cast<std::int64_t>(arch.spec.secret_base))
+      .lw(sim::R1, sim::R2)
+      .br(sim::BranchCond::kEq, sim::R1, sim::kZero, "skip")
+      .li(sim::R3, kUntouched)
+      .sw(sim::R3, 0, sim::R1)
+      .label("skip")
+      .halt();
+  test.normal = normal.build();
+  test.enclave = sim::ProgramBuilder(arch.spec.enclave_code).halt().build();
+
+  const conf::TrialVerdict fresh = conf::run_case(
+      arch, test, 1, nullptr, conf::MachineVariant::kFresh, conf::BugInjection::kSilentZero);
+  core::MachinePool pool;
+  const conf::TrialVerdict pooled = conf::run_case(
+      arch, test, 1, &pool, conf::MachineVariant::kPooled, conf::BugInjection::kSilentZero);
+  EXPECT_NE(std::find(fresh.mismatches.begin(), fresh.mismatches.end(),
+                      "memory at 0x80000: machine=0x0 oracle=0x1"),
+            fresh.mismatches.end());
+  EXPECT_EQ(pooled.mismatches, fresh.mismatches);
+  EXPECT_EQ(pooled, fresh);
+}
+
+TEST(Conformance, DiffPagesCounterShowsWhichPathRan) {
+  const auto diff_pages = [] {
+    return hwsec::obs::MetricsRegistry::instance().snapshot().counter("conformance_diff_pages");
+  };
+  core::MachinePool pool;
+  const std::uint64_t before = diff_pages();
+  conf::run_trial(conf::FuzzArch::kSgx, 1, nullptr, conf::MachineVariant::kFresh);
+  const std::uint64_t fresh = diff_pages() - before;
+  conf::run_trial(conf::FuzzArch::kSgx, 1, &pool, conf::MachineVariant::kPooled);
+  const std::uint64_t pooled = diff_pages() - before - fresh;
+  EXPECT_EQ(fresh, 512u) << "a fresh machine sweeps all of DRAM";
+  EXPECT_GE(pooled, 7u) << "install_env alone dirties 7 pages";
+  EXPECT_LT(pooled, 32u) << "a pooled trial compares only dirty and oracle-written pages";
 }
 
 TEST(Conformance, CorpusFormatRoundTrips) {

@@ -268,14 +268,16 @@ TEST(MachineSnapshot, UopCacheSurvivesResetWithoutStaleReuse) {
 namespace conf = hwsec::conformance;
 namespace core = hwsec::core;
 
-std::vector<conf::TrialVerdict> fuzz_campaign(unsigned workers, conf::MachineVariant variant) {
+std::vector<conf::TrialVerdict> fuzz_campaign(unsigned workers, conf::MachineVariant variant,
+                                              conf::BugInjection inject = conf::BugInjection::kNone,
+                                              std::size_t trials = 40) {
   const std::function<conf::TrialVerdict(const core::TrialContext&)> body =
-      [variant](const core::TrialContext& ctx) {
+      [variant, inject](const core::TrialContext& ctx) {
         const conf::FuzzArch arch =
             conf::kAllFuzzArchs[ctx.index % std::size(conf::kAllFuzzArchs)];
-        return conf::run_trial(arch, ctx.seed, ctx.machines, variant);
+        return conf::run_trial(arch, ctx.seed, ctx.machines, variant, inject);
       };
-  return core::run_campaign({.seed = 0x5EED, .trials = 40, .workers = workers}, body);
+  return core::run_campaign({.seed = 0x5EED, .trials = trials, .workers = workers}, body);
 }
 
 TEST(MachineSnapshot, FuzzerPooledMatchesFreshAtAnyWorkerCount) {
@@ -285,6 +287,40 @@ TEST(MachineSnapshot, FuzzerPooledMatchesFreshAtAnyWorkerCount) {
         << "pooled campaign at workers=" << workers << " diverged from fresh machines";
     EXPECT_EQ(fuzz_campaign(workers, conf::MachineVariant::kFresh), fresh)
         << "fresh campaign at workers=" << workers << " is worker-count dependent";
+  }
+}
+
+// Pooled trials diff only dirty-or-oracle-written pages; fresh trials sweep
+// all of DRAM. Under injected enforcement bugs every trial diverges, so the
+// verdicts carry real memory mismatches, and the two paths must still
+// report them identically: same lines, same order, same secret_leak.
+TEST(MachineSnapshot, FuzzerPooledMatchesFreshUnderInjectedBugs) {
+  for (const conf::BugInjection inject :
+       {conf::BugInjection::kSkipDomainCheck, conf::BugInjection::kSilentZero}) {
+    const auto fresh = fuzz_campaign(2, conf::MachineVariant::kFresh, inject, 256);
+    const auto pooled = fuzz_campaign(2, conf::MachineVariant::kPooled, inject, 256);
+    std::size_t failed = 0;
+    std::size_t memory_lines = 0;
+    std::size_t measurement_lines = 0;
+    for (const conf::TrialVerdict& v : fresh) {
+      failed += v.failed() ? 1 : 0;
+      for (const std::string& m : v.mismatches) {
+        memory_lines += m.starts_with("memory at ") ? 1 : 0;
+        measurement_lines += m.starts_with("attestation measurement ") ? 1 : 0;
+      }
+    }
+    EXPECT_GT(failed, 0u) << "the injection must be caught";
+    EXPECT_GT(memory_lines, 0u) << "the memory diff must have something to report";
+    if (inject == conf::BugInjection::kSilentZero) {
+      // The zeroed secret lies in the measured region on every arch.
+      EXPECT_GT(measurement_lines, 0u) << "a changed measured region must be hashed";
+    }
+    ASSERT_EQ(pooled.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(pooled[i], fresh[i])
+          << "trial " << i << " (" << conf::to_string(fresh[i].arch)
+          << "): the dirty-page diff disagrees with the full sweep";
+    }
   }
 }
 

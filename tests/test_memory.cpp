@@ -1,6 +1,9 @@
 // Physical DRAM model.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "sim/memory.h"
 
 namespace sim = hwsec::sim;
@@ -48,6 +51,65 @@ TEST(Memory, ContainsBoundsChecks) {
   EXPECT_TRUE(mem.contains(sim::kPageSize - 4, 4));
   EXPECT_FALSE(mem.contains(sim::kPageSize - 3, 4));
   EXPECT_FALSE(mem.contains(sim::kPageSize));
+}
+
+TEST(Memory, DirtyBitmapHasExactlyTheWrittenPages) {
+  sim::PhysicalMemory mem(130 * sim::kPageSize);
+  EXPECT_FALSE(mem.dirty_tracked()) << "no snapshot yet: nothing is tracked";
+  mem.write32(5 * sim::kPageSize, 1);  // before the snapshot: not tracked.
+  const sim::PhysicalMemory::Snapshot snap = mem.snapshot();
+  EXPECT_TRUE(mem.dirty_tracked());
+
+  mem.write8(3, 0xAA);                                 // page 0
+  mem.write32(64 * sim::kPageSize + 8, 0x1234);        // page 64
+  mem.write32(100 * sim::kPageSize - 2, 0xFFFFFFFFu);  // pages 99 and 100
+  const std::vector<std::uint8_t> block(16, 7);
+  mem.write_block(129 * sim::kPageSize, block);  // page 129
+  mem.fill(7 * sim::kPageSize, 4, 0);  // zero into a clean zero page: skipped.
+
+  const std::span<const std::uint64_t> bits = mem.dirty_bitmap();
+  ASSERT_EQ(bits.size(), 3u);
+  EXPECT_EQ(bits[0], 1ull);
+  EXPECT_EQ(bits[1], 1ull | (1ull << (99 - 64)) | (1ull << (100 - 64)));
+  EXPECT_EQ(bits[2], 1ull << (129 - 128));
+  EXPECT_EQ(mem.dirty_page_count(), 5u);
+
+  mem.restore(snap);
+  EXPECT_TRUE(mem.dirty_tracked());
+  EXPECT_EQ(mem.dirty_page_count(), 0u);
+
+  (void)mem.raw();  // the mutable span bypasses tracking.
+  EXPECT_FALSE(mem.dirty_tracked());
+  mem.restore(snap);
+  EXPECT_TRUE(mem.dirty_tracked()) << "restore re-arms tracking";
+}
+
+TEST(Memory, SnapshotRestoresZeroAndNonZeroPages) {
+  sim::PhysicalMemory mem(4 * sim::kPageSize);
+  mem.write32(sim::kPageSize + 4, 0xCAFEF00Du);
+  const sim::PhysicalMemory::Snapshot snap = mem.snapshot();
+  mem.write32(sim::kPageSize + 4, 1);      // a non-zero snapshot page
+  mem.write32(3 * sim::kPageSize + 8, 2);  // a zero snapshot page
+  mem.restore(snap);
+  EXPECT_EQ(mem.read32(sim::kPageSize + 4), 0xCAFEF00Du);
+  EXPECT_EQ(mem.read32(3 * sim::kPageSize + 8), 0u);
+
+  auto raw = mem.raw();  // the full-restore path.
+  raw[sim::kPageSize + 4] = 0x77;
+  raw[2 * sim::kPageSize] = 0x77;
+  mem.restore(snap);
+  EXPECT_EQ(mem.read32(sim::kPageSize + 4), 0xCAFEF00Du);
+  EXPECT_EQ(mem.read8(2 * sim::kPageSize), 0u);
+}
+
+TEST(Memory, FaultInjectionStoreSkipsTheDirtyBit) {
+  sim::PhysicalMemory mem(2 * sim::kPageSize);
+  const sim::PhysicalMemory::Snapshot snap = mem.snapshot();
+  mem.inject_write32_without_dirty_bit(sim::kPageSize, 0xD1D7B175u);
+  EXPECT_EQ(mem.read32(sim::kPageSize), 0xD1D7B175u);
+  EXPECT_EQ(mem.dirty_page_count(), 0u);
+  mem.restore(snap);
+  EXPECT_EQ(mem.read32(sim::kPageSize), 0xD1D7B175u) << "a missed dirty bit survives restore";
 }
 
 }  // namespace
