@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "attacks/physical/power_analysis.h"
+#include "attacks/transient/spectre.h"
 #include "crypto/aes.h"
 #include "crypto/sha256.h"
 #include "sca/cpa.h"
@@ -29,6 +30,44 @@ void BM_CacheTouch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CacheTouch);
+
+// The Flush+Reload probe step of every transient-execution trial: flush
+// 256 line-strided lines from the whole mobile hierarchy, then reload them
+// with timing. Items are probe lines.
+void BM_ProbeArraySweep(benchmark::State& state) {
+  sim::Machine machine(sim::MachineProfile::mobile(), 1);
+  const sim::PhysAddr probe = machine.alloc_frames(4);
+  std::uint64_t hot = 0;
+  for (auto _ : state) {
+    machine.flush_lines(probe, 64, 256);
+    machine.probe_lines(0, sim::kDomainNormal, probe, 64, 256, [&](sim::Cycle latency) {
+      hot += latency < 100 ? 1 : 0;
+      return true;
+    });
+    benchmark::DoNotOptimize(hot);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
+}
+BENCHMARK(BM_ProbeArraySweep);
+
+// Machine-pool reset cost after one spectre_leak-style trial (SpectreV1
+// on mobile core 0): only reset_to + reseed is timed.
+void BM_PoolResetAfterSpectreTrial(benchmark::State& state) {
+  sim::Machine machine(sim::MachineProfile::mobile(), 1);
+  const sim::MachineSnapshot pristine = machine.snapshot();
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      attacks::SpectreV1 spectre(machine, 0);
+      benchmark::DoNotOptimize(spectre.leak_byte(spectre.plant_secret("K")));
+    }
+    state.ResumeTiming();
+    machine.reset_to(pristine);
+    machine.reseed(++seed);
+  }
+}
+BENCHMARK(BM_PoolResetAfterSpectreTrial)->Unit(benchmark::kMicrosecond);
 
 void BM_CpuInstructionThroughput(benchmark::State& state) {
   sim::Machine machine(sim::MachineProfile::server(), 2);

@@ -75,22 +75,22 @@ CacheAttackResult flush_reload_attack(sim::Machine& machine, const TableLayout& 
     const crypto::AesBlock pt = random_block(rng);
     // Flush every line of the four round tables.
     for (std::uint32_t t = 0; t < 4; ++t) {
-      for (std::uint32_t l = 0; l < kLinesPerTable; ++l) {
-        machine.flush_line(layout.base[t] + 64 * l);
-      }
+      machine.flush_lines(layout.base[t], 64, kLinesPerTable);
     }
     victim(pt);
     // Reload: a fast access means the victim touched that line.
     for (std::uint32_t t = 0; t < 4; ++t) {
-      for (std::uint32_t l = 0; l < kLinesPerTable; ++l) {
-        const auto outcome =
-            machine.touch(config.attacker_core, config.attacker_domain, layout.base[t] + 64 * l);
-        if (machine.observe_latency(outcome.latency) < config.hit_threshold) {
-          for (std::size_t i : bytes_of_table(t)) {
-            votes.add(i, static_cast<std::uint8_t>(l ^ (pt[i] >> 4)));
-          }
-        }
-      }
+      std::uint32_t l = 0;
+      machine.probe_lines(config.attacker_core, config.attacker_domain, layout.base[t], 64,
+                          kLinesPerTable, [&](sim::Cycle latency) {
+                            if (latency < config.hit_threshold) {
+                              for (std::size_t i : bytes_of_table(t)) {
+                                votes.add(i, static_cast<std::uint8_t>(l ^ (pt[i] >> 4)));
+                              }
+                            }
+                            ++l;
+                            return true;
+                          });
     }
   }
   votes.finish(result);

@@ -20,19 +20,19 @@ void collect_line_observations_into(sim::Machine& machine, const TableLayout& la
       b = static_cast<std::uint8_t>(rng.next_u32());
     }
     for (std::uint32_t table = 0; table < 4; ++table) {
-      for (std::uint32_t l = 0; l < 16; ++l) {
-        machine.flush_line(layout.base[table] + 64 * l);
-      }
+      machine.flush_lines(layout.base[table], 64, 16);
     }
     obs.ciphertext = victim(obs.plaintext).ciphertext;
     for (std::uint32_t table = 0; table < 4; ++table) {
-      for (std::uint32_t l = 0; l < 16; ++l) {
-        const auto outcome = machine.touch(config.attacker_core, config.attacker_domain,
-                                           layout.base[table] + 64 * l);
-        if (machine.observe_latency(outcome.latency) < config.hit_threshold) {
-          obs.lines[table] |= static_cast<std::uint16_t>(1u << l);
-        }
-      }
+      std::uint32_t l = 0;
+      machine.probe_lines(config.attacker_core, config.attacker_domain, layout.base[table], 64, 16,
+                          [&](sim::Cycle latency) {
+                            if (latency < config.hit_threshold) {
+                              obs.lines[table] |= static_cast<std::uint16_t>(1u << l);
+                            }
+                            ++l;
+                            return true;
+                          });
     }
     sink(obs);
   }

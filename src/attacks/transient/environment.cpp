@@ -50,16 +50,20 @@ void UserProcess::flush_probe() {
 
 std::optional<std::uint8_t> UserProcess::hottest_probe_line(sim::Cycle hit_threshold) {
   std::optional<std::uint8_t> hot;
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    const auto outcome = machine_->touch(core_, domain_, probe_phys_ + i * kProbeStride);
-    if (machine_->observe_latency(outcome.latency) < hit_threshold) {
+  bool garbage = false;
+  std::uint32_t i = 0;
+  machine_->probe_lines(core_, domain_, probe_phys_, kProbeStride, 256, [&](sim::Cycle latency) {
+    if (latency < hit_threshold) {
       if (hot.has_value()) {
-        return std::nullopt;  // more than one hot line: garbage.
+        garbage = true;  // more than one hot line: stop the scan here.
+        return false;
       }
       hot = static_cast<std::uint8_t>(i);
     }
-  }
-  return hot;
+    ++i;
+    return true;
+  });
+  return garbage ? std::nullopt : hot;
 }
 
 }  // namespace hwsec::attacks

@@ -34,8 +34,9 @@ ServiceTrialResult mix_trial(const TrialContext& ctx, std::uint64_t delay_us) {
 }
 
 ServiceTrialResult spectre_trial(const TrialContext& ctx) {
-  auto machine_lease =
-      acquire_machine(ctx.machines, sim::MachineProfile::mobile(), ctx.seed);
+  // Built once: the profile's strings and DVFS table are per-call heap work.
+  static const sim::MachineProfile kMobile = sim::MachineProfile::mobile();
+  auto machine_lease = acquire_machine(ctx.machines, kMobile, ctx.seed);
   hwsec::attacks::SpectreV1 spectre(*machine_lease, 0);
   const sim::Word index = spectre.plant_secret("K");
   const auto byte = spectre.leak_byte(index);

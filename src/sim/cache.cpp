@@ -52,19 +52,11 @@ Cache::Cache(CacheConfig config, std::uint64_t rng_seed)
   plru_bits_.assign(config_.num_sets(), 0);
 }
 
-Cache::WayRange Cache::ways_for(DomainId domain) const {
-  if (domain < partition_lut_.size() && partition_lut_[domain].count != 0) {
-    return partition_lut_[domain];
-  }
-  return {0, config_.ways};
-}
-
 bool Cache::probe(PhysAddr addr) const {
-  const PhysAddr base = addr & ~(config_.line_size - 1);
+  const PhysAddr base = line_base(addr);
   const std::uint32_t set = set_index(addr);
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    const Line& line = line_at(set, w);
-    if (line.valid && line.tag_base == base) {
+  for (std::uint32_t mask = valid_ways_[set]; mask != 0; mask &= mask - 1) {
+    if (line_at(set, static_cast<std::uint32_t>(std::countr_zero(mask))).tag_base == base) {
       return true;
     }
   }
@@ -72,52 +64,107 @@ bool Cache::probe(PhysAddr addr) const {
 }
 
 bool Cache::probe_owned(PhysAddr addr, DomainId domain) const {
-  const PhysAddr base = addr & ~(config_.line_size - 1);
+  const PhysAddr base = line_base(addr);
   const std::uint32_t set = set_index(addr);
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    const Line& line = line_at(set, w);
-    if (line.valid && line.tag_base == base && line.owner == domain) {
+  for (std::uint32_t mask = valid_ways_[set]; mask != 0; mask &= mask - 1) {
+    const Line& line = line_at(set, static_cast<std::uint32_t>(std::countr_zero(mask)));
+    if (line.tag_base == base && line.owner == domain) {
       return true;
     }
   }
   return false;
 }
 
-std::uint32_t Cache::flush_domain(DomainId domain) {
-  coarse_dirty_ = true;  // touches arbitrary sets; journal can't cover it.
-  ++removal_epoch_;
+void Cache::flush_lines(PhysAddr base, std::uint32_t stride, std::uint32_t count) {
+  if (empty()) {
+    return;
+  }
+  if (stride != config_.line_size || scramble_key_ != 0) {
+    PhysAddr a = base;
+    for (std::uint32_t i = 0; i < count; ++i, a += stride) {
+      flush_line(a);
+    }
+    return;
+  }
+  // Line i of the run is line_base(base) + i * line_size, in set
+  // (set_index(base) + i) mod num_sets: a chunk of at most num_sets lines
+  // maps to distinct sets.
+  const std::uint32_t num_sets = set_mask_ + 1;
+  PhysAddr first = line_base(base);
+  while (count != 0) {
+    const std::uint32_t n = std::min(count, num_sets);
+    flush_line_run(first, n);
+    first += n * config_.line_size;
+    count -= n;
+  }
+}
+
+void Cache::flush_line_run(PhysAddr first_line, std::uint32_t n) {
+  const std::uint32_t s0 = set_index(first_line);
+  // The run's sets [s0, s0 + n) wrap at most once: two contiguous segments.
+  const auto segment = [&](std::uint32_t lo, std::uint32_t hi) {
+    for (std::uint32_t w = lo >> 6; lo < hi; ++w) {
+      const std::uint32_t word_base = w << 6;
+      const std::uint32_t end = std::min(hi, word_base + 64);
+      std::uint64_t bits = occupied_sets_[w] >> (lo - word_base);
+      if (end - lo < 64) {
+        bits &= (std::uint64_t{1} << (end - lo)) - 1;
+      }
+      while (bits != 0) {
+        const std::uint32_t set = lo + static_cast<std::uint32_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        flush_in_set(set, first_line + ((set - s0) & set_mask_) * config_.line_size);
+      }
+      lo = end;
+    }
+  };
+  const std::uint32_t num_sets = set_mask_ + 1;
+  if (s0 + n <= num_sets) {
+    segment(s0, s0 + n);
+  } else {
+    segment(s0, num_sets);
+    segment(0, s0 + n - num_sets);
+  }
+}
+
+std::uint32_t Cache::drop_owned(DomainId domain, std::uint32_t ways) {
   std::uint32_t dropped = 0;
-  for (std::uint32_t set = 0; set <= set_mask_; ++set) {
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      Line& line = line_at(set, w);
-      if (line.valid && line.owner == domain) {
-        line.valid = false;
-        valid_ways_[set] &= ~(1u << w);
-        mark_occupancy(set);
-        --valid_lines_;
-        ++dropped;
+  for (std::uint32_t w = 0; w < occupied_sets_.size(); ++w) {
+    for (std::uint64_t sets = occupied_sets_[w]; sets != 0; sets &= sets - 1) {
+      const std::uint32_t set = (w << 6) + static_cast<std::uint32_t>(std::countr_zero(sets));
+      for (std::uint32_t mask = valid_ways_[set] & ways; mask != 0; mask &= mask - 1) {
+        const auto way = static_cast<std::uint32_t>(std::countr_zero(mask));
+        if (line_at(set, way).owner == domain) {
+          invalidate(set, way);
+          ++dropped;
+        }
       }
     }
   }
+  return dropped;
+}
+
+std::uint32_t Cache::flush_domain(DomainId domain) {
+  ++removal_epoch_;
+  const std::uint32_t dropped = drop_owned(domain, ~0u);
   stats_.flushes += dropped;
   return dropped;
 }
 
 void Cache::flush_all() {
-  coarse_dirty_ = true;
   ++removal_epoch_;
-  for (Line& line : lines_) {
-    line.valid = false;
+  for (std::uint32_t w = 0; w < occupied_sets_.size(); ++w) {
+    for (std::uint64_t sets = occupied_sets_[w]; sets != 0; sets &= sets - 1) {
+      valid_ways_[(w << 6) + static_cast<std::uint32_t>(std::countr_zero(sets))] = 0;
+    }
+    occupied_sets_[w] = 0;
   }
-  std::fill(valid_ways_.begin(), valid_ways_.end(), 0u);
-  std::fill(occupied_sets_.begin(), occupied_sets_.end(), std::uint64_t{0});
   valid_lines_ = 0;
   ++stats_.flushes;
 }
 
 void Cache::set_way_partition(DomainId domain, std::uint32_t first_way, std::uint32_t num_ways) {
-  coarse_dirty_ = true;  // partition table + line sweep across all sets.
-  ++removal_epoch_;      // the hit predicate (ways_for) changes shape.
+  ++removal_epoch_;  // the hit predicate (ways_for) changes shape.
   if (num_ways == 0) {
     if (domain < partition_lut_.size() && partition_lut_[domain].count != 0) {
       partition_lut_[domain] = {};
@@ -137,30 +184,17 @@ void Cache::set_way_partition(DomainId domain, std::uint32_t first_way, std::uin
   partition_lut_[domain] = {first_way, num_ways};
   // Drop lines the domain holds outside its new partition: stale occupancy
   // in foreign ways would leak the domain's pre-partition footprint.
-  for (std::uint32_t set = 0; set < config_.num_sets(); ++set) {
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      if (w >= first_way && w < first_way + num_ways) {
-        continue;
-      }
-      Line& line = line_at(set, w);
-      if (line.valid && line.owner == domain) {
-        line.valid = false;
-        valid_ways_[set] &= ~(1u << w);
-        mark_occupancy(set);
-        --valid_lines_;
-      }
-    }
-  }
+  drop_owned(domain, ~range_mask({first_way, num_ways}));
 }
 
 std::optional<std::uint32_t> Cache::find_way(PhysAddr addr, DomainId domain) const {
   const PhysAddr base = line_base(addr);
   const std::uint32_t set = set_index(addr);
-  const WayRange range = ways_for(domain);
-  for (std::uint32_t w = range.first; w < range.first + range.count; ++w) {
-    const Line& line = line_at(set, w);
-    if (line.valid && line.tag_base == base) {
-      return (set << 8) | w;
+  for (std::uint32_t mask = valid_ways_[set] & range_mask(ways_for(domain)); mask != 0;
+       mask &= mask - 1) {
+    const auto way = static_cast<std::uint32_t>(std::countr_zero(mask));
+    if (line_at(set, way).tag_base == base) {
+      return (set << 8) | way;
     }
   }
   return std::nullopt;
@@ -176,9 +210,8 @@ void Cache::rekey(std::uint64_t new_key) { set_index_scramble(new_key); }
 std::uint32_t Cache::occupancy(PhysAddr addr, DomainId domain) const {
   const std::uint32_t set = set_index(addr);
   std::uint32_t count = 0;
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    const Line& line = line_at(set, w);
-    if (line.valid && line.owner == domain) {
+  for (std::uint32_t mask = valid_ways_[set]; mask != 0; mask &= mask - 1) {
+    if (line_at(set, static_cast<std::uint32_t>(std::countr_zero(mask))).owner == domain) {
       ++count;
     }
   }
@@ -195,11 +228,14 @@ void Cache::reset_stats() {
 }
 
 void Cache::begin_set_tracking() {
-  tracking_ = true;
-  coarse_dirty_ = false;
   touched_lines_.clear();
-  touched_epoch_.assign(lines_.size(), 0);
-  epoch_ = 1;
+  tracking_ = !empty();
+  if (tracking_) {
+    touched_epoch_.assign(lines_.size(), 0);
+    epoch_ = 1;
+  } else {
+    std::vector<std::uint8_t>().swap(touched_epoch_);  // snapshots copy it.
+  }
 }
 
 void Cache::restore_from(const Cache& snap) {
@@ -207,30 +243,36 @@ void Cache::restore_from(const Cache& snap) {
   // the snapshot's value): any fetch memo armed against pre-restore state
   // must observe a change, whichever restore path runs.
   const std::uint64_t epoch_after = removal_epoch_ + 1;
-  if (!tracking_ || coarse_dirty_ || lines_.size() != snap.lines_.size()) {
-    // `snap` was copied right after begin_set_tracking() on this cache, so
-    // a full copy-assign also restores a clean, armed journal.
+  if (lines_.size() != snap.lines_.size() || (!tracking_ && !snap.empty())) {
+    // A different geometry, or valid snapshot lines with no journal to
+    // say which of ours differ from them (`snap` was not taken at this
+    // cache's begin_set_tracking()).
     *this = snap;
     removal_epoch_ = epoch_after;
     return;
   }
-  for (const std::uint32_t index : touched_lines_) {
-    Line& cur = lines_[index];
-    const Line& old = snap.lines_[index];
-    const std::uint32_t set = index / config_.ways;
-    if (cur.valid != old.valid) {
-      const std::uint32_t bit = 1u << (index - set * config_.ways);
-      if (old.valid) {
-        valid_ways_[set] |= bit;
-        ++valid_lines_;
-      } else {
-        valid_ways_[set] &= ~bit;
-        --valid_lines_;
-      }
-      mark_occupancy(set);
+  // Validity: a set unoccupied on both sides has an all-zero mask on both.
+  for (std::size_t w = 0; w < occupied_sets_.size(); ++w) {
+    for (std::uint64_t sets = occupied_sets_[w] | snap.occupied_sets_[w]; sets != 0;
+         sets &= sets - 1) {
+      const std::size_t set = (w << 6) + static_cast<std::size_t>(std::countr_zero(sets));
+      valid_ways_[set] = snap.valid_ways_[set];
     }
-    cur = old;
+    occupied_sets_[w] = snap.occupied_sets_[w];
+  }
+  valid_lines_ = snap.valid_lines_;
+  // Contents: only journaled lines can differ from the snapshot (fills and
+  // hits journal; flushes change masks only). Unarmed, the snapshot holds
+  // no valid line, so no content is observable — PLRU bits included: a
+  // victim is chosen only among valid (so since-restore touched) ways, and
+  // every tree node on a touched way's path was rewritten by that touch. A
+  // node no touched way lies under spans a way interval disjoint from the
+  // contiguous candidate range, and plru_victim clamps any leaf there to
+  // the same end of the range, whatever the stale bits say.
+  for (const std::uint32_t index : touched_lines_) {
+    lines_[index] = snap.lines_[index];
     if (config_.policy == ReplacementPolicy::kTreePlru) {
+      const std::uint32_t set = index / config_.ways;
       plru_bits_[set] = snap.plru_bits_[set];  // dead state under LRU/random.
     }
   }
@@ -246,22 +288,15 @@ void Cache::restore_from(const Cache& snap) {
   // Re-arm the journal: an epoch bump invalidates all touched_epoch_
   // stamps without an array-wide clear.
   touched_lines_.clear();
-  if (++epoch_ == 0) {
+  if (tracking_ && ++epoch_ == 0) {
     std::fill(touched_epoch_.begin(), touched_epoch_.end(), 0u);
     epoch_ = 1;
   }
 }
 
 std::uint32_t Cache::choose_victim(std::uint32_t set, WayRange range) {
-  assert(range.count > 0);
-  // Invalid line first (lowest way index, as the linear scan used to pick),
-  // regardless of policy. One bit-scan instead of walking the Line array.
-  const std::uint32_t range_mask =
-      (range.count >= 32 ? ~0u : ((1u << range.count) - 1u) << range.first);
-  const std::uint32_t invalid = ~valid_ways_[set] & range_mask;
-  if (invalid != 0) {
-    return static_cast<std::uint32_t>(std::countr_zero(invalid));
-  }
+  // access() fills an invalid way itself; only full ranges get here.
+  assert(range.count > 0 && (~valid_ways_[set] & range_mask(range)) == 0);
   switch (config_.policy) {
     case ReplacementPolicy::kLru: {
       std::uint32_t victim = range.first;

@@ -14,6 +14,18 @@
 //    Sanctuary/Sanctum on enclave context switches);
 //  * deterministic replacement (LRU / tree-PLRU) or seeded random
 //    replacement, for the eviction-set reliability ablation.
+//
+// Validity lives only in the per-set way masks (valid_ways_, summarized
+// one bit per set in occupied_sets_): a Line carries no valid flag, and
+// every reader (lookups, flushes, occupancy, the victim chooser) consults
+// the mask first, so an invalid line's stale contents can never be
+// observed. That is what keeps snapshot restores cheap: validity-only
+// operations (flush_line, flush_domain, flush_all, partition changes,
+// rekeys) change nothing but masks, and restore_from() puts back the
+// snapshot's masks for every set occupied on either side. The touched-line
+// journal that restores line *contents* (and tree-PLRU bits) is armed only
+// when the snapshot holds valid lines; the machine pool's pristine
+// snapshots are taken with empty caches, so pooled trials never journal.
 #pragma once
 
 #include <bit>
@@ -68,21 +80,29 @@ class Cache {
 
   const CacheConfig& config() const { return config_; }
 
-  /// Result of a lookup-with-fill.
+  /// Result of a lookup-with-fill. Plain scalars on purpose: with a
+  /// std::optional member GCC built the result on the stack with narrow
+  /// stores and read it back with wide loads, a store-forwarding stall on
+  /// every call (a probe-array fill measured ~3x slower).
   struct AccessResult {
     bool hit = false;
-    /// Physical line base evicted to make room for the fill (miss only,
-    /// and only if a valid line was displaced). Inclusive hierarchies use
-    /// this for back-invalidation.
-    std::optional<PhysAddr> evicted_line;
+    /// A valid line was displaced to make room for the fill (miss only).
+    /// Inclusive hierarchies back-invalidate evicted_line.
+    bool evicted = false;
     /// Domain that owned the evicted line.
     DomainId evicted_domain = kDomainNormal;
+    /// Physical line base of the evicted line (meaningful when evicted).
+    PhysAddr evicted_line = 0;
   };
 
   /// Looks up `addr` on behalf of `domain`; on miss, fills the line,
   /// evicting per the replacement policy (restricted to the domain's way
   /// partition if one is configured).
-  AccessResult access(PhysAddr addr, DomainId domain, AccessType type);
+  ///
+  /// Always inlined: its callers are hot loops (the CPU data path, probe
+  /// sweeps), and inlined into one the cache's configuration stays in
+  /// registers across calls.
+  [[gnu::always_inline]] AccessResult access(PhysAddr addr, DomainId domain, AccessType type);
 
   /// Lookup without side effects: true if the line is present (any domain).
   bool probe(PhysAddr addr) const;
@@ -93,6 +113,14 @@ class Cache {
   /// Invalidates the line containing `addr` if present; returns whether a
   /// line was dropped.
   bool flush_line(PhysAddr addr);
+
+  /// flush_line() for `count` addresses `stride` bytes apart from `base`,
+  /// with the same resulting state and counters (flushes of distinct lines
+  /// commute). With a line-sized stride and the identity set mapping the
+  /// run covers consecutive sets, so only the occupied ones are visited,
+  /// one occupied_sets_ word at a time (in chunks of num_sets lines when
+  /// the run wraps); scrambled or non-line strides flush line by line.
+  void flush_lines(PhysAddr base, std::uint32_t stride, std::uint32_t count);
 
   /// Invalidates every line owned by `domain`; returns the count dropped.
   std::uint32_t flush_domain(DomainId domain);
@@ -177,18 +205,24 @@ class Cache {
   const CacheStats& domain_stats(DomainId domain) const;
   void reset_stats();
 
-  /// Arms the touched-set journal (the cache-array analogue of the
-  /// dirty-page bitmap in PhysicalMemory): from here on, every mutation
-  /// records which set it touched, so a later restore_from() copies back
-  /// only those sets instead of the whole line array. Whole-cache
-  /// operations (flush_all / flush_domain / partition or scramble changes)
-  /// poison the journal and force a full copy on the next restore.
+  /// Marks the current state as the one a later restore_from() returns
+  /// to. Arms the touched-line journal (the cache-array analogue of the
+  /// dirty-page bitmap in PhysicalMemory) only when the cache holds valid
+  /// lines. An empty cache needs none: every line filled afterwards is
+  /// invalid in the snapshot, so putting back the snapshot's way masks is
+  /// the whole restore (see restore_from for why stale PLRU bits are
+  /// unobservable too).
   void begin_set_tracking();
 
-  /// Restores this cache to the state captured in `snap` (a copy of this
-  /// cache taken right after begin_set_tracking()). Uses the touched-set
-  /// fast path when the journal is clean, a full copy-assign otherwise;
-  /// either way the journal is re-armed so the next trial starts fresh.
+  /// Restores this cache to the state captured in `snap`, a copy of this
+  /// cache taken right after its most recent begin_set_tracking(). Puts
+  /// back the snapshot's way mask for every set occupied on either side
+  /// (found by walking both occupied_sets_ bitmaps: O(sets/64 + occupied
+  /// sets)), then replays the journal, if armed, for line contents and
+  /// PLRU bits. A snapshot of a different geometry, or a non-empty one
+  /// with no journal armed (one not taken at this cache's restore point),
+  /// is copied whole. The journal is re-armed so the next trial starts
+  /// fresh.
   void restore_from(const Cache& snap);
 
  private:
@@ -196,10 +230,11 @@ class Cache {
   /// 8-byte word, stamp in the other): the line array is the simulator's
   /// hottest data structure and its footprint is what the host's caches
   /// have to absorb on every probe sweep.
+  /// Whether the line is valid is not a field: it is the way's bit in
+  /// valid_ways_ (see the file comment).
   struct Line {
     PhysAddr tag_base = 0;  ///< line-aligned physical address.
     DomainId owner = kDomainNormal;
-    bool valid = false;
     bool dirty = false;
     std::uint64_t lru_stamp = 0;
   };
@@ -209,7 +244,28 @@ class Cache {
     std::uint32_t count = 0;
   };
 
-  WayRange ways_for(DomainId domain) const;
+  WayRange ways_for(DomainId domain) const {
+    if (domain < partition_lut_.size() && partition_lut_[domain].count != 0) {
+      return partition_lut_[domain];
+    }
+    return {0, config_.ways};
+  }
+  static std::uint32_t range_mask(WayRange range) {
+    return range.count >= 32 ? ~0u : ((1u << range.count) - 1u) << range.first;
+  }
+  /// Drops the valid line at (set, way): mask, occupancy and count only.
+  void invalidate(std::uint32_t set, std::uint32_t way) {
+    valid_ways_[set] &= ~(1u << way);
+    mark_occupancy(set);
+    --valid_lines_;
+  }
+  /// Invalidates `domain`'s lines in the `ways` mask of every occupied set;
+  /// returns the count dropped.
+  std::uint32_t drop_owned(DomainId domain, std::uint32_t ways);
+  /// flush_line() for a set already known to be occupied.
+  bool flush_in_set(std::uint32_t set, PhysAddr addr);
+  /// flush_lines() over `n` <= num_sets consecutive lines from `first_line`.
+  void flush_line_run(PhysAddr first_line, std::uint32_t n);
   std::uint32_t choose_victim(std::uint32_t set, WayRange range);
   Line& line_at(std::uint32_t set, std::uint32_t way) { return lines_[set * config_.ways + way]; }
   const Line& line_at(std::uint32_t set, std::uint32_t way) const {
@@ -289,9 +345,8 @@ class Cache {
 
   // Touched-line journal (see begin_set_tracking). epoch_ stamps entries
   // in touched_epoch_ so re-arming after a restore is a counter bump, not
-  // an array-wide clear.
+  // an array-wide clear. Unarmed, touched_epoch_ is empty.
   bool tracking_ = false;
-  bool coarse_dirty_ = false;  ///< a whole-cache mutation bypassed the journal.
   /// u8 on purpose: the stamp array is loaded on every access, and the
   /// narrow type quarters its footprint. Wrap-around is handled by the
   /// restore path (a full clear every 255 re-arms).
@@ -316,12 +371,10 @@ inline Cache::AccessResult Cache::access(PhysAddr addr, DomainId domain, AccessT
   // makes a miss in a sparse set (every probe-array scan after a flush) a
   // single word load; countr_zero preserves the ascending way order of the
   // linear scan it replaces.
-  const std::uint32_t range_mask =
-      (range.count >= 32 ? ~0u : ((1u << range.count) - 1u) << range.first);
-  std::uint32_t mask = valid_ways_[set] & range_mask;
-  while (mask != 0) {
+  const std::uint32_t ways = range_mask(range);
+  const std::uint32_t valid = valid_ways_[set];
+  for (std::uint32_t mask = valid & ways; mask != 0; mask &= mask - 1) {
     const std::uint32_t w = static_cast<std::uint32_t>(std::countr_zero(mask));
-    mask &= mask - 1;
     Line& line = line_at(set, w);
     if (line.tag_base == base) {
       mark_touched(set, w);  // LRU stamp / dirty bit / PLRU update.
@@ -334,7 +387,7 @@ inline Cache::AccessResult Cache::access(PhysAddr addr, DomainId domain, AccessT
       }
       ++stats_.hits;
       ++domain_slot(domain).hits;
-      return {.hit = true, .evicted_line = std::nullopt, .evicted_domain = kDomainNormal};
+      return {.hit = true};
     }
   }
 
@@ -344,14 +397,15 @@ inline Cache::AccessResult Cache::access(PhysAddr addr, DomainId domain, AccessT
   // policy walk in choose_victim.
   ++stats_.misses;
   ++domain_slot(domain).misses;
-  const std::uint32_t invalid_ways = ~valid_ways_[set] & range_mask;
+  const std::uint32_t invalid_ways = ~valid & ways;
   const std::uint32_t victim_way =
       invalid_ways != 0 ? static_cast<std::uint32_t>(std::countr_zero(invalid_ways))
                         : choose_victim(set, range);
   mark_touched(set, victim_way);  // fill overwrites the victim line.
   Line& victim = line_at(set, victim_way);
   AccessResult result;
-  if (victim.valid) {
+  if (invalid_ways == 0) {
+    result.evicted = true;
     result.evicted_line = victim.tag_base;
     result.evicted_domain = victim.owner;
     ++stats_.evictions;
@@ -359,10 +413,9 @@ inline Cache::AccessResult Cache::access(PhysAddr addr, DomainId domain, AccessT
     ++removal_epoch_;  // a valid line was displaced.
   } else {
     ++valid_lines_;
-    valid_ways_[set] |= 1u << victim_way;
-    mark_occupancy(set);
+    valid_ways_[set] = valid | (1u << victim_way);
+    occupied_sets_[set >> 6] |= std::uint64_t{1} << (set & 63);
   }
-  victim.valid = true;
   victim.tag_base = base;
   victim.owner = domain;
   victim.dirty = (type == AccessType::kWrite);
@@ -381,18 +434,19 @@ inline bool Cache::flush_line(PhysAddr addr) {
   if (!set_occupied(set)) {
     return false;  // no valid line in the set, so certainly not this one.
   }
+  return flush_in_set(set, addr);
+}
+
+// A flush changes validity only (the way mask), so it is not journaled:
+// restore_from() puts back the masks of every set occupied on either side.
+inline bool Cache::flush_in_set(std::uint32_t set, PhysAddr addr) {
   std::uint32_t mask = valid_ways_[set];
   const PhysAddr base = line_base(addr);
   do {
     const std::uint32_t w = static_cast<std::uint32_t>(std::countr_zero(mask));
     mask &= mask - 1;
-    Line& line = line_at(set, w);
-    if (line.tag_base == base) {
-      mark_touched(set, w);
-      line.valid = false;
-      valid_ways_[set] &= ~(1u << w);
-      mark_occupancy(set);
-      --valid_lines_;
+    if (line_at(set, w).tag_base == base) {
+      invalidate(set, w);
       ++removal_epoch_;
       ++stats_.flushes;
       return true;

@@ -25,7 +25,16 @@ CacheHierarchy::CacheHierarchy(HierarchyConfig config) : config_(std::move(confi
   }
 }
 
+void CacheHierarchy::throw_bad_core(CoreId core) const {
+  throw SimError(ErrorKind::kConfigError, "core " + std::to_string(core) +
+                                              " out of range: the hierarchy has " +
+                                              std::to_string(config_.num_cores) + " core(s)");
+}
+
 bool CacheHierarchy::excluded(PhysAddr addr, Exclusion scope_at_least) const {
+  if (uncacheable_.empty()) {
+    return false;
+  }
   for (const auto& range : uncacheable_) {
     if (addr >= range.start && addr < range.end) {
       if (scope_at_least == Exclusion::kSharedOnly) {
@@ -56,8 +65,8 @@ MemoryAccessOutcome CacheHierarchy::access_through(Cache* l1, CoreId core, Domai
   if (llc_ != nullptr && !skip_all && !skip_shared) {
     latency += llc_->config().hit_latency;
     const auto r = llc_->access(addr, domain, type);
-    if (!r.hit && config_.inclusive_llc && r.evicted_line.has_value()) {
-      back_invalidate(*r.evicted_line);
+    if (!r.hit && config_.inclusive_llc && r.evicted) {
+      back_invalidate(r.evicted_line);
     }
     if (r.hit) {
       return {ServiceLevel::kLlc, latency};
@@ -71,16 +80,19 @@ MemoryAccessOutcome CacheHierarchy::access_through(Cache* l1, CoreId core, Domai
 
 MemoryAccessOutcome CacheHierarchy::access(CoreId core, DomainId domain, PhysAddr addr,
                                            AccessType type) {
+  check_core(core);
   Cache* l1 = config_.has_l1 ? l1d_[core].get() : nullptr;
   return access_through(l1, core, domain, addr, type);
 }
 
 MemoryAccessOutcome CacheHierarchy::fetch(CoreId core, DomainId domain, PhysAddr addr) {
+  check_core(core);
   Cache* l1 = config_.has_l1 ? l1i_[core].get() : nullptr;
   return access_through(l1, core, domain, addr, AccessType::kExecute);
 }
 
 bool CacheHierarchy::in_l1d(CoreId core, PhysAddr addr) const {
+  check_core(core);
   return config_.has_l1 && l1d_[core]->probe(addr);
 }
 
@@ -101,27 +113,19 @@ void CacheHierarchy::flush_line(PhysAddr addr) {
 }
 
 void CacheHierarchy::flush_lines(PhysAddr base, std::uint32_t stride, std::uint32_t count) {
-  const auto sweep = [&](Cache& c) {
-    if (c.empty()) {
-      return;
-    }
-    PhysAddr a = base;
-    for (std::uint32_t i = 0; i < count; ++i, a += stride) {
-      c.flush_line(a);
-    }
-  };
   for (auto& c : l1d_) {
-    sweep(*c);
+    c->flush_lines(base, stride, count);
   }
   for (auto& c : l1i_) {
-    sweep(*c);
+    c->flush_lines(base, stride, count);
   }
   if (llc_ != nullptr) {
-    sweep(*llc_);
+    llc_->flush_lines(base, stride, count);
   }
 }
 
 void CacheHierarchy::flush_core_private(CoreId core) {
+  check_core(core);
   if (!config_.has_l1) {
     return;
   }

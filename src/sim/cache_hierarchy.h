@@ -52,8 +52,19 @@ class CacheHierarchy {
 
   const HierarchyConfig& config() const { return config_; }
 
-  /// Data access by `core` on behalf of `domain`.
+  /// Data access by `core` on behalf of `domain`. Every entry point that
+  /// takes a core rejects one outside [0, num_cores) with kConfigError.
   MemoryAccessOutcome access(CoreId core, DomainId domain, PhysAddr addr, AccessType type);
+
+  /// Batched data reads of `count` lines at `base`, `base + stride`, ...:
+  /// for each address in order, the same state change and outcome as
+  /// access(core, domain, addr, kRead), handed to `on_line(outcome)`; a
+  /// false return stops the sweep before the next address. The core is
+  /// checked and its L1D looked up once per sweep; each line then takes the
+  /// same level walk as access().
+  template <typename OnLine>
+  void read_lines(CoreId core, DomainId domain, PhysAddr base, std::uint32_t stride,
+                  std::uint32_t count, OnLine&& on_line);
 
   /// Instruction fetch (separate L1I, shared LLC).
   MemoryAccessOutcome fetch(CoreId core, DomainId domain, PhysAddr addr);
@@ -69,9 +80,9 @@ class CacheHierarchy {
   /// Batch CLFLUSH over `count` addresses `stride` bytes apart, starting at
   /// `base`. Equivalent to calling flush_line() per address (the per-cache
   /// flushes are independent, so reordering cache-outer is unobservable),
-  /// but skips caches that are entirely empty — the common case for the
-  /// other cores' private caches — turning the probe-array flush loop from
-  /// addresses x caches scans into a handful of cache visits.
+  /// but each cache sweeps only its occupied sets (Cache::flush_lines), and
+  /// an empty cache — the common case for the other cores' private caches —
+  /// costs one test.
   void flush_lines(PhysAddr base, std::uint32_t stride, std::uint32_t count);
 
   /// Flushes core-private caches only (enclave context switch in
@@ -110,10 +121,13 @@ class CacheHierarchy {
   // -- snapshot / restore (Machine::snapshot) ---------------------------
   /// Value copies of every cache level plus the uncacheable ranges. Cache
   /// objects are plain data (lines, PLRU bits, partition LUT, RNG), so a
-  /// copy captures replacement state exactly. Taking a snapshot also arms
-  /// each cache's touched-set journal, so restore() copies back only the
-  /// sets mutated since the snapshot (full copy when a whole-cache
-  /// operation bypassed the journal).
+  /// copy captures replacement state exactly. Taking a snapshot marks each
+  /// cache's restore point (Cache::begin_set_tracking), so restore() puts
+  /// back the way masks of occupied sets and only the lines touched since.
+  ///
+  /// The machine pool's pristine snapshots hold empty caches, so their
+  /// restore is journal-free: each cache walks its occupancy bitmaps and
+  /// clears the sets the trial filled (see Cache::restore_from).
   struct Snapshot {
     std::vector<Cache> l1d;
     std::vector<Cache> l1i;
@@ -130,6 +144,12 @@ class CacheHierarchy {
   std::uint64_t exclusion_epoch() const { return exclusion_epoch_; }
 
  private:
+  void check_core(CoreId core) const {
+    if (core >= config_.num_cores) [[unlikely]] {
+      throw_bad_core(core);
+    }
+  }
+  [[noreturn]] void throw_bad_core(CoreId core) const;
   bool excluded(PhysAddr addr, Exclusion scope_at_least) const;
   MemoryAccessOutcome access_through(Cache* l1, CoreId core, DomainId domain, PhysAddr addr,
                                      AccessType type);
@@ -142,5 +162,18 @@ class CacheHierarchy {
   std::vector<UncacheableRange> uncacheable_;
   std::uint64_t exclusion_epoch_ = 0;
 };
+
+template <typename OnLine>
+void CacheHierarchy::read_lines(CoreId core, DomainId domain, PhysAddr base,
+                                std::uint32_t stride, std::uint32_t count, OnLine&& on_line) {
+  check_core(core);
+  Cache* const l1 = config_.has_l1 ? l1d_[core].get() : nullptr;
+  PhysAddr addr = base;
+  for (std::uint32_t i = 0; i < count; ++i, addr += stride) {
+    if (!on_line(access_through(l1, core, domain, addr, AccessType::kRead))) {
+      return;
+    }
+  }
+}
 
 }  // namespace hwsec::sim

@@ -257,18 +257,6 @@ void Machine::arm_watchdog(const TrialWatchdog* watchdog) {
   }
 }
 
-Cycle Machine::observe_latency(Cycle latency) {
-  const TimerConfig& t = profile_.timer;
-  Cycle observed = latency;
-  if (t.jitter > 0) {
-    observed += rng_.below(t.jitter + 1);
-  }
-  if (t.granularity > 1) {
-    observed = (observed / t.granularity) * t.granularity;
-  }
-  return observed;
-}
-
 double Machine::energy_nj() const {
   const double v = dvfs_.point().voltage;
   const double scale = v * v;

@@ -146,6 +146,18 @@ class Machine {
   /// the CPU data path would.
   MemoryAccessOutcome touch(CoreId core, DomainId domain, PhysAddr addr,
                             AccessType type = AccessType::kRead);
+  /// Batched timed reload (the Flush+Reload probe step) of `count` lines at
+  /// `base`, `base + stride`, ...: per line, exactly the side effects of
+  /// touch(core, domain, addr) followed by observe_latency(), then
+  /// `visit(observed_latency)`; a false return stops the sweep and leaves
+  /// the remaining lines untouched (CacheHierarchy::read_lines).
+  template <typename Visit>
+  void probe_lines(CoreId core, DomainId domain, PhysAddr base, std::uint32_t stride,
+                   std::uint32_t count, Visit&& visit) {
+    caches_.read_lines(core, domain, base, stride, count, [&](const MemoryAccessOutcome& o) {
+      return visit(observe_latency(o.latency));
+    });
+  }
   /// CLFLUSH from instrumented code.
   void flush_line(PhysAddr addr) { caches_.flush_line(addr); }
   /// Batch CLFLUSH of `count` lines at `base`, `base + stride`, ... from
@@ -163,7 +175,16 @@ class Machine {
   /// What an attacker's timer reports for a true duration of `latency`
   /// cycles, under the platform's TimeWarp-style timer policy. A perfect
   /// timer (the default) returns the input unchanged.
-  Cycle observe_latency(Cycle latency);
+  Cycle observe_latency(Cycle latency) {
+    const TimerConfig& t = profile_.timer;
+    if (t.jitter > 0) {
+      latency += rng_.below(t.jitter + 1);
+    }
+    if (t.granularity > 1) {
+      latency = (latency / t.granularity) * t.granularity;
+    }
+    return latency;
+  }
 
   /// Arms (nullptr: disarms) a per-trial watchdog on every core. While
   /// armed, guest execution that exceeds the watchdog's cycle budget — or

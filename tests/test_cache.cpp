@@ -1,8 +1,12 @@
 // Single-level cache model: hit/miss/eviction mechanics, replacement
-// policies, domain tagging, flushes and way partitioning.
+// policies, domain tagging, flushes, way partitioning and snapshot restore.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "sim/cache.h"
+#include "sim/rng.h"
 
 namespace sim = hwsec::sim;
 
@@ -38,8 +42,8 @@ TEST(Cache, LruEvictsOldest) {
   }
   cache.access(0, 0, sim::AccessType::kRead);  // refresh line 0.
   const auto r = cache.access(4 * stride, 0, sim::AccessType::kRead);
-  ASSERT_TRUE(r.evicted_line.has_value());
-  EXPECT_EQ(*r.evicted_line, stride) << "line 1 was least recently used";
+  ASSERT_TRUE(r.evicted);
+  EXPECT_EQ(r.evicted_line, stride) << "line 1 was least recently used";
   EXPECT_TRUE(cache.probe(0));
   EXPECT_FALSE(cache.probe(stride));
 }
@@ -51,7 +55,7 @@ TEST(Cache, EvictionReportsVictimDomain) {
     cache.access(i * stride, /*domain=*/7, sim::AccessType::kRead);
   }
   const auto r = cache.access(4 * stride, /*domain=*/0, sim::AccessType::kRead);
-  ASSERT_TRUE(r.evicted_line.has_value());
+  ASSERT_TRUE(r.evicted);
   EXPECT_EQ(r.evicted_domain, 7u);
   EXPECT_EQ(cache.domain_stats(7).evictions, 1u);
 }
@@ -120,9 +124,9 @@ TEST(Cache, RandomReplacementIsSeedDeterministic) {
   for (sim::PhysAddr i = 0; i < 32; ++i) {
     const auto ra = a.access(i * stride, 0, sim::AccessType::kRead);
     const auto rb = b.access(i * stride, 0, sim::AccessType::kRead);
-    EXPECT_EQ(ra.evicted_line.has_value(), rb.evicted_line.has_value());
-    if (ra.evicted_line && rb.evicted_line) {
-      EXPECT_EQ(*ra.evicted_line, *rb.evicted_line);
+    EXPECT_EQ(ra.evicted, rb.evicted);
+    if (ra.evicted && rb.evicted) {
+      EXPECT_EQ(ra.evicted_line, rb.evicted_line);
     }
   }
 }
@@ -154,6 +158,116 @@ TEST_P(ReplacementPolicyTest, OverfilledSetEvicts) {
     present += cache.probe(i * stride) ? 1 : 0;
   }
   EXPECT_EQ(present, 4u);
+}
+
+// ---- snapshot restore --------------------------------------------------
+//
+// restore_from() puts back way masks for every occupied set and replays
+// the touched-line journal only when the snapshot held valid lines (or
+// tree-PLRU bits). Either way the restored cache must be indistinguishable
+// from the snapshot: same hit/miss/eviction sequence and counters on a
+// seeded access stream, even after trials that used every whole-cache
+// operation (flush_domain, flush_all, way partitions, rekeys, batch
+// flushes).
+
+/// Seeded reads/writes from three domains over lines that overflow a few
+/// sets, recording every result, then the counters.
+std::vector<std::uint64_t> access_stream(sim::Cache& cache, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<std::uint64_t> out;
+  for (int i = 0; i < 400; ++i) {
+    const sim::PhysAddr addr = static_cast<sim::PhysAddr>(rng.below(48)) * 64 * 16 +
+                               static_cast<sim::PhysAddr>(rng.below(6)) * 64;
+    const auto domain = static_cast<sim::DomainId>(rng.below(3));
+    const auto type = rng.below(4) == 0 ? sim::AccessType::kWrite : sim::AccessType::kRead;
+    const auto r = cache.access(addr, domain, type);
+    out.push_back(std::uint64_t{r.hit} | std::uint64_t{r.evicted} << 1 |
+                  std::uint64_t{r.evicted_domain} << 8 | std::uint64_t{r.evicted_line} << 32);
+  }
+  for (sim::DomainId d = 0; d < 3; ++d) {
+    const sim::CacheStats& s = cache.domain_stats(d);
+    out.insert(out.end(), {s.hits, s.misses, s.evictions});
+  }
+  const sim::CacheStats& s = cache.stats();
+  out.insert(out.end(), {s.hits, s.misses, s.evictions, s.flushes});
+  return out;
+}
+
+/// One trial's worth of cache activity; `round` varies which whole-cache
+/// operations it uses.
+void run_trial(sim::Cache& cache, int round) {
+  access_stream(cache, 100 + static_cast<std::uint64_t>(round));
+  switch (round % 4) {
+    case 0:
+      cache.flush_domain(1);
+      cache.flush_lines(0, 64, 40);
+      break;
+    case 1:
+      cache.set_way_partition(2, 0, 2);
+      access_stream(cache, 200);
+      break;
+    case 2:
+      cache.rekey(0xABCDEF + static_cast<std::uint64_t>(round));
+      access_stream(cache, 300);
+      cache.flush_line(64 * 16);
+      break;
+    default:
+      cache.flush_all();
+      access_stream(cache, 400);
+      break;
+  }
+}
+
+TEST_P(ReplacementPolicyTest, RestoreToEmptySnapshotMatchesFreshCache) {
+  sim::Cache pooled(small_cache(GetParam()), 3);
+  pooled.begin_set_tracking();
+  const sim::Cache pristine = pooled;
+  for (int round = 0; round < 8; ++round) {
+    run_trial(pooled, round);
+    pooled.restore_from(pristine);
+    sim::Cache fresh(small_cache(GetParam()), 3);
+    if (round % 2 == 1) {
+      // A partitioned domain picks victims in part of a set: the untouched
+      // part's stale PLRU bits must not matter.
+      pooled.set_way_partition(2, 1, 2);
+      fresh.set_way_partition(2, 1, 2);
+    }
+    ASSERT_EQ(access_stream(pooled, 7), access_stream(fresh, 7)) << "after round " << round;
+  }
+}
+
+TEST_P(ReplacementPolicyTest, RestoreToWarmSnapshotMatchesSnapshot) {
+  sim::Cache pooled(small_cache(GetParam()), 3);
+  access_stream(pooled, 1);  // the snapshot holds valid, dirty, partitioned state.
+  pooled.set_way_partition(2, 1, 2);
+  access_stream(pooled, 2);
+  pooled.begin_set_tracking();
+  const sim::Cache snap = pooled;
+  for (int round = 0; round < 8; ++round) {
+    run_trial(pooled, round);
+    pooled.restore_from(snap);
+    sim::Cache expected = snap;
+    ASSERT_EQ(access_stream(pooled, 7), access_stream(expected, 7)) << "after round " << round;
+  }
+}
+
+TEST_P(ReplacementPolicyTest, RestoreWarmSnapshotWithoutJournalCopiesIt) {
+  // `snap` was never taken at `target`'s restore point, so `target` has no
+  // journal saying which of its lines differ from it.
+  sim::Cache source(small_cache(GetParam()), 3);
+  access_stream(source, 1);
+  const sim::Cache snap = source;
+  for (const bool tracked_empty : {false, true}) {
+    sim::Cache target(small_cache(GetParam()), 5);
+    if (tracked_empty) {
+      target.begin_set_tracking();  // empty: the journal stays unarmed.
+    }
+    run_trial(target, 0);
+    target.restore_from(snap);
+    sim::Cache expected = snap;
+    ASSERT_EQ(access_stream(target, 7), access_stream(expected, 7))
+        << "tracked_empty " << tracked_empty;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementPolicyTest,

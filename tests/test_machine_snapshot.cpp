@@ -29,6 +29,7 @@
 #include "arch/trustlite.h"
 #include "arch/trustzone.h"
 #include "sim/machine.h"
+#include "sim/rng.h"
 #include "sim/sim_error.h"
 
 namespace sim = hwsec::sim;
@@ -197,6 +198,95 @@ TEST(MachineSnapshot, MutableRawSpanForcesFullRestore) {
   raw[100] = 0x77;
   m.reset_to(snap);
   EXPECT_EQ(m.memory().read8(100), 0u);
+}
+
+// ---- cache hierarchy vs the pool's empty pristine snapshot -------------
+//
+// A pooled machine's pristine snapshot holds empty caches, so its restore
+// journals nothing: each cache puts back the way masks of the sets the
+// trial occupied. After trials that use every whole-cache operation the
+// reset machine must still replay a seeded access stream — hit levels,
+// latencies, per-cache counters — exactly like a freshly built one.
+
+std::vector<std::uint64_t> cache_stream(sim::Machine& m, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<std::uint64_t> out;
+  const sim::HierarchyConfig& h = m.profile().hierarchy;
+  const std::uint32_t span = h.has_llc ? h.llc.size_bytes / h.llc.ways : 64 * 1024;
+  for (int i = 0; i < 1500; ++i) {
+    const auto core = static_cast<sim::CoreId>(rng.below(m.num_cores()));
+    const auto domain = static_cast<sim::DomainId>(rng.below(3));
+    const sim::PhysAddr addr = 0x0010'0000 + static_cast<sim::PhysAddr>(rng.below(200)) * 64 +
+                               static_cast<sim::PhysAddr>(rng.below(40)) * span;
+    const auto o = rng.below(6) == 0 ? m.caches().fetch(core, domain, addr)
+                                     : m.touch(core, domain, addr);
+    out.push_back(static_cast<std::uint64_t>(o.level) << 32 | o.latency);
+  }
+  const auto add = [&](const sim::Cache& c) {
+    for (sim::DomainId d = 0; d < 3; ++d) {
+      const sim::CacheStats& s = c.domain_stats(d);
+      out.insert(out.end(), {s.hits, s.misses, s.evictions});
+    }
+    out.insert(out.end(), {c.stats().hits, c.stats().misses, c.stats().evictions,
+                           c.stats().flushes});
+  };
+  for (sim::CoreId c = 0; h.has_l1 && c < m.num_cores(); ++c) {
+    add(m.caches().l1d(c));
+    add(m.caches().l1i(c));
+  }
+  if (h.has_llc) {
+    add(m.caches().llc());
+  }
+  out.push_back(m.rng().next_u64());
+  return out;
+}
+
+void cache_trial(sim::Machine& m, int round) {
+  cache_stream(m, 500 + static_cast<std::uint64_t>(round));
+  switch (round % 5) {
+    case 0:
+      m.caches().flush_domain(1);
+      m.flush_lines(0x0010'0000, 64, 150);
+      break;
+    case 1:
+      m.caches().llc().set_way_partition(2, 0, 3);
+      cache_stream(m, 600);
+      break;
+    case 2:
+      m.caches().llc().rekey(0x1234 + static_cast<std::uint64_t>(round));
+      cache_stream(m, 700);
+      break;
+    case 3:
+      m.caches().add_uncacheable(0x0010'0000, 64 * 64, sim::CacheHierarchy::Exclusion::kSharedOnly);
+      cache_stream(m, 800);
+      break;
+    default:
+      m.caches().flush_core_private(1);
+      m.caches().flush_all();
+      cache_stream(m, 900);
+      break;
+  }
+}
+
+TEST(MachineSnapshot, CachesResetToEmptyPristineMatchFresh) {
+  sim::MachineProfile plru = sim::MachineProfile::mobile();
+  plru.hierarchy.l1d.policy = sim::ReplacementPolicy::kTreePlru;
+  plru.hierarchy.l1i.policy = sim::ReplacementPolicy::kTreePlru;
+  plru.hierarchy.llc.policy = sim::ReplacementPolicy::kTreePlru;
+  sim::MachineProfile random = sim::MachineProfile::server();
+  random.hierarchy.llc.policy = sim::ReplacementPolicy::kRandom;
+  for (const sim::MachineProfile& profile : {sim::MachineProfile::mobile(), plru, random}) {
+    SCOPED_TRACE(to_string(profile.hierarchy.llc.policy));
+    sim::Machine pooled(profile, 1);
+    const sim::MachineSnapshot pristine = pooled.snapshot();
+    for (int round = 0; round < 10; ++round) {
+      cache_trial(pooled, round);
+      pooled.reset_to(pristine);
+      pooled.reseed(40 + static_cast<std::uint64_t>(round));
+      sim::Machine fresh(profile, 40 + static_cast<std::uint64_t>(round));
+      ASSERT_EQ(cache_stream(pooled, 9), cache_stream(fresh, 9)) << "after round " << round;
+    }
+  }
 }
 
 // ---- decoded-program cache vs snapshot/reset ---------------------------
