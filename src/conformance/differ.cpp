@@ -28,6 +28,11 @@ const obs::Counter& diff_pages_counter() {
   return c;
 }
 
+const obs::Counter& full_sweeps_counter() {
+  static const obs::Counter c = obs::counter("conformance_full_sweeps");
+  return c;
+}
+
 std::string hex(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
@@ -62,14 +67,18 @@ std::uint32_t read32_le(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+// The measured-region helpers below read DRAM through `page_of(p)`: a
+// pointer to page p's bytes in the machine's DRAM, the oracle's view or
+// the baseline image.
+
 /// SHA-256 over the measured region as the attestation engine would see it:
 /// word-wise, after undoing the MEE transform.
-template <typename Read32>
-std::array<std::uint8_t, 32> measure_region(const EnvSpec& spec, Read32&& read32) {
+template <typename PageOf>
+std::array<std::uint8_t, 32> measure_region(const EnvSpec& spec, PageOf&& page_of) {
   std::vector<std::uint8_t> bytes;
   bytes.reserve(spec.measured_end - spec.measured_start);
   for (sim::PhysAddr a = spec.measured_start; a < spec.measured_end; a += 4) {
-    sim::Word w = read32(a);
+    sim::Word w = read32_le(page_of(a >> sim::kPageShift) + (a & sim::kPageOffsetMask));
     if (spec.in_mee(a)) {
       w = mee_word(a, w);
     }
@@ -90,10 +99,9 @@ ArchContext build_arch_context(FuzzArch arch) {
   sim::Machine machine(ctx.profile, /*seed=*/1);
   MachineRunLog log;
   ctx.secret_frame = install_env(machine, ctx.spec, log);
-  const auto raw = std::as_const(machine.memory()).raw();
-  ctx.baseline.assign(raw.begin(), raw.end());
-  ctx.baseline_measurement = measure_region(
-      ctx.spec, [&](sim::PhysAddr a) { return read32_le(ctx.baseline.data() + a); });
+  ctx.baseline = machine.memory().snapshot();
+  ctx.baseline_measurement =
+      measure_region(ctx.spec, [&](std::uint32_t p) { return ctx.baseline.page(p).data(); });
   return ctx;
 }
 
@@ -117,20 +125,19 @@ void diff_page(TrialVerdict& v, std::uint32_t page, const std::uint8_t* mp,
   }
 }
 
-bool machine_region_is_baseline(const ArchContext& arch, std::span<const std::uint8_t> dram) {
-  const EnvSpec& spec = arch.spec;
-  return std::memcmp(dram.data() + spec.measured_start, arch.baseline.data() + spec.measured_start,
-                     spec.measured_end - spec.measured_start) == 0;
-}
-
-bool oracle_region_is_baseline(const ArchContext& arch, const ShadowMemory& omem) {
+/// True when the measured region reads the same through `page_of` as in
+/// the baseline, compared page by page. A page that is the baseline page
+/// itself (an oracle page outside the overlay) needs no compare.
+template <typename PageOf>
+bool region_is_baseline(const ArchContext& arch, PageOf&& page_of) {
   const EnvSpec& spec = arch.spec;
   for (sim::PhysAddr lo = spec.measured_start; lo < spec.measured_end;) {
     const std::uint32_t p = lo >> sim::kPageShift;
-    const sim::PhysAddr page_end = (p + 1) * sim::kPageSize;
-    const sim::PhysAddr hi = std::min(spec.measured_end, page_end);
-    if (std::memcmp(omem.page(p).data() + (lo - p * sim::kPageSize), arch.baseline.data() + lo,
-                    hi - lo) != 0) {
+    const sim::PhysAddr hi = std::min(spec.measured_end, (p + 1) * sim::kPageSize);
+    const std::uint32_t off = lo & sim::kPageOffsetMask;
+    const std::uint8_t* have = page_of(p);
+    const std::uint8_t* want = arch.baseline.page(p).data();
+    if (have != want && std::memcmp(have + off, want + off, hi - lo) != 0) {
       return false;
     }
     lo = hi;
@@ -285,10 +292,17 @@ TrialVerdict run_case(const ArchContext& arch, const GeneratedCase& test, std::u
   const sim::PhysicalMemory& mem = std::as_const(machine.memory());
   const auto dram = mem.raw();
   const ShadowMemory& omem = ref.memory();
+  const auto machine_page = [&](std::uint32_t p) {
+    return dram.data() + static_cast<std::size_t>(p) * sim::kPageSize;
+  };
+  const auto oracle_page = [&](std::uint32_t p) { return omem.page(p).data(); };
   const std::uint32_t pages = static_cast<std::uint32_t>(dram.size()) / sim::kPageSize;
   std::vector<std::uint64_t> compare((pages + 63) / 64, ~0ull);  // full sweep.
-  if (variant == MachineVariant::kPooled && mem.dirty_tracked() &&
-      seed % kPooledSweepEvery != 0) {
+  const bool full_sweep = variant != MachineVariant::kPooled || !mem.dirty_tracked() ||
+                          seed % kPooledSweepEvery == 0;
+  if (full_sweep) {
+    full_sweeps_counter().add(1);
+  } else {
     // A page outside both sets holds the pool's pristine bytes on the
     // machine and the baseline on the oracle, and those are equal: machine
     // construction depends only on the profile, and install_env re-dirties
@@ -307,8 +321,7 @@ TrialVerdict run_case(const ArchContext& arch, const GeneratedCase& test, std::u
         break;
       }
       ++compared;
-      diff_page(v, p, dram.data() + static_cast<std::size_t>(p) * sim::kPageSize,
-                omem.page(p).data());
+      diff_page(v, p, machine_page(p), oracle_page(p));
     }
   }
   diff_pages_counter().add(compared);
@@ -317,11 +330,9 @@ TrialVerdict run_case(const ArchContext& arch, const GeneratedCase& test, std::u
   // A region still byte-equal to the baseline on both sides measures to
   // baseline_measurement on both, so neither check can fire; hash only
   // when something in it changed.
-  if (!machine_region_is_baseline(arch, dram) || !oracle_region_is_baseline(arch, omem)) {
-    const auto machine_meas =
-        measure_region(spec, [&](sim::PhysAddr a) { return read32_le(dram.data() + a); });
-    const auto oracle_meas =
-        measure_region(spec, [&](sim::PhysAddr a) { return omem.read32(a); });
+  if (!region_is_baseline(arch, machine_page) || !region_is_baseline(arch, oracle_page)) {
+    const auto machine_meas = measure_region(spec, machine_page);
+    const auto oracle_meas = measure_region(spec, oracle_page);
     if (machine_meas != oracle_meas) {
       note_invariant(v, "attestation measurement diverged between machine and oracle");
     }

@@ -16,19 +16,23 @@
 //    must match between machine and oracle, and must equal the pre-trial
 //    measurement unless the enclave itself wrote the region.
 //
-// The DRAM diff memcmps machine pages against baseline-or-overlay. A full
-// sweep of all pages costs ~3/4 of a trial, far more than the two
-// executions, so a pool-reset machine compares only the union of its dirty
-// pages (PhysicalMemory::dirty_bitmap) and the oracle's overlay pages:
-// every other page is the pristine image on the machine and the baseline
-// on the oracle, which are the same bytes. Walked in ascending page order,
-// that set yields exactly the full sweep's mismatch list. The full sweep
-// stays for fresh machines (which also covers the shrinker and corpus
-// replay), for memory whose dirty tracking was bypassed, and for pooled
-// trials whose seed is a multiple of 16, which is what catches a missed
-// dirty bit leaving stale pool state behind. The measured region is
-// hashed only when it no longer equals the baseline bytes on both sides.
-// Every choice depends only on (arch, seed, variant, inject).
+// The DRAM diff memcmps machine pages against baseline-or-overlay. The
+// baseline is a sparse sim::PhysicalMemory::Snapshot (the same image type
+// the pool's pristine snapshots use): its ~10 non-zero pages are stored,
+// and every zero page is the one shared, cache-resident kZeroPageBytes.
+// A full sweep of all 512 pages still touches 2 MiB of machine DRAM, so a
+// pool-reset machine compares only the union of its dirty pages
+// (PhysicalMemory::dirty_bitmap) and the oracle's overlay pages: every
+// other page is the pristine image on the machine and the baseline on the
+// oracle, which are the same bytes. Walked in ascending page order, that
+// set yields exactly the full sweep's mismatch list. The full sweep stays
+// for fresh machines (which also covers the shrinker and corpus replay),
+// for memory whose dirty tracking was bypassed, and for pooled trials
+// whose seed is a multiple of 16, which is what catches a missed dirty
+// bit leaving stale pool state behind; the conformance_full_sweeps
+// counter counts them. The measured region is hashed only when it no
+// longer equals the baseline bytes on both sides. Every choice depends
+// only on (arch, seed, variant, inject).
 #pragma once
 
 #include <array>
@@ -39,6 +43,7 @@
 #include "conformance/env.h"
 #include "conformance/generator.h"
 #include "core/machine_pool.h"
+#include "sim/memory.h"
 
 namespace hwsec::conformance {
 
@@ -50,11 +55,12 @@ enum class MachineVariant : std::uint8_t { kPooled, kFresh };
 /// Immutable per-architecture material shared by every trial of that
 /// architecture: the spec, the machine profile, the post-install_env DRAM
 /// image (identical for every trial — programs are decoded-form, so DRAM
-/// content is a pure function of the arch), and its measurement.
+/// content is a pure function of the arch), and its measurement. The image
+/// stores only its non-zero pages.
 struct ArchContext {
   EnvSpec spec;
   sim::MachineProfile profile;
-  std::vector<std::uint8_t> baseline;
+  sim::PhysicalMemory::Snapshot baseline;
   sim::PhysAddr secret_frame = 0;
   std::array<std::uint8_t, 32> baseline_measurement{};
 };

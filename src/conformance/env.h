@@ -204,6 +204,16 @@ sim::MachineProfile fuzz_machine_profile(FuzzArch arch);
 /// Builds the EnvSpec for an architecture. Pure: depends only on `arch`.
 EnvSpec make_env_spec(FuzzArch arch);
 
+/// Deterministic data-page fill word at `addr`. Tags 0x0D/0x0E/0x0F00'0000
+/// keep every pattern word clear of the 0xA5EC secret prefix.
+sim::Word pattern_word(sim::PhysAddr addr, sim::Word tag);
+
+/// Writes pattern_word(a, tag) at every word of the `pages` pages from the
+/// page-aligned `base`, one write_block per page: the bytes and dirty pages
+/// a word-by-word write32 loop would leave, at a fraction of its cost.
+void fill_pattern(sim::PhysicalMemory& mem, sim::PhysAddr base, std::uint32_t pages,
+                  sim::Word tag);
+
 /// Per-trial log populated by the machine-side fault handler installed by
 /// install_env. The oracle produces the same records independently; the
 /// differ compares them entry for entry.

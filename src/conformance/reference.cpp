@@ -1,7 +1,6 @@
 #include "conformance/reference.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "sim/page_table.h"
@@ -15,29 +14,23 @@ namespace sim = hwsec::sim;
 std::vector<std::uint8_t>& ShadowMemory::materialize(std::uint32_t page_number) {
   auto it = overlay_.find(page_number);
   if (it == overlay_.end()) {
-    const std::size_t base = static_cast<std::size_t>(page_number) * sim::kPageSize;
-    std::vector<std::uint8_t> copy(sim::kPageSize);
-    std::memcpy(copy.data(), baseline_.data() + base, sim::kPageSize);
-    it = overlay_.emplace(page_number, std::move(copy)).first;
+    const auto base = baseline_.page(page_number);
+    it = overlay_.emplace(page_number, std::vector<std::uint8_t>(base.begin(), base.end())).first;
   }
   return it->second;
 }
 
 std::uint8_t ShadowMemory::read8(sim::PhysAddr addr) const {
-  const auto it = overlay_.find(addr >> sim::kPageShift);
-  if (it != overlay_.end()) {
-    return it->second[addr & sim::kPageOffsetMask];
-  }
-  return baseline_[addr];
+  return page(addr >> sim::kPageShift)[addr & sim::kPageOffsetMask];
 }
 
 sim::Word ShadowMemory::read32(sim::PhysAddr addr) const {
   // Word reads in the oracle are always 4-byte aligned (the CPU raises
   // kAlignment first and the page walker reads aligned PTEs), so a word
-  // never straddles a page.
-  return static_cast<sim::Word>(read8(addr)) | (static_cast<sim::Word>(read8(addr + 1)) << 8) |
-         (static_cast<sim::Word>(read8(addr + 2)) << 16) |
-         (static_cast<sim::Word>(read8(addr + 3)) << 24);
+  // never straddles a page: one page lookup serves all four bytes.
+  const std::uint8_t* p = page(addr >> sim::kPageShift).data() + (addr & sim::kPageOffsetMask);
+  return static_cast<sim::Word>(p[0]) | (static_cast<sim::Word>(p[1]) << 8) |
+         (static_cast<sim::Word>(p[2]) << 16) | (static_cast<sim::Word>(p[3]) << 24);
 }
 
 void ShadowMemory::write32(sim::PhysAddr addr, sim::Word value) {
@@ -54,14 +47,13 @@ std::span<const std::uint8_t> ShadowMemory::page(std::uint32_t page_number) cons
   if (it != overlay_.end()) {
     return it->second;
   }
-  return baseline_.subspan(static_cast<std::size_t>(page_number) * sim::kPageSize,
-                           sim::kPageSize);
+  return baseline_.page(page_number);
 }
 
 // ----------------------------------------------------------- interpreter --
 
 ReferenceInterpreter::ReferenceInterpreter(const EnvSpec& spec,
-                                           std::span<const std::uint8_t> baseline,
+                                           const sim::PhysicalMemory::Snapshot& baseline,
                                            std::vector<sim::Program> programs)
     : spec_(spec), mem_(baseline), programs_(std::move(programs)) {}
 

@@ -16,9 +16,12 @@
 //
 // Memory model: the oracle never touches the machine's DRAM. It reads an
 // immutable baseline image (the machine's post-install_env DRAM, identical
-// for every trial of an architecture) through a page-granular copy-on-write
-// overlay; its writes materialize overlay pages. After the machine runs,
-// the differ compares every DRAM page against baseline-or-overlay.
+// for every trial of an architecture, held as a sparse
+// sim::PhysicalMemory::Snapshot whose zero pages all alias one shared zero
+// page) through a page-granular copy-on-write overlay; its writes
+// materialize overlay pages. A word read costs one overlay lookup. After
+// the machine runs, the differ compares DRAM pages against
+// baseline-or-overlay.
 #pragma once
 
 #include <array>
@@ -29,16 +32,18 @@
 
 #include "conformance/env.h"
 #include "sim/isa.h"
+#include "sim/memory.h"
 #include "sim/program.h"
 
 namespace hwsec::conformance {
 
-/// Copy-on-write view over an immutable DRAM baseline.
+/// Copy-on-write view over an immutable DRAM baseline, which must outlive
+/// it.
 class ShadowMemory {
  public:
-  explicit ShadowMemory(std::span<const std::uint8_t> baseline) : baseline_(baseline) {}
+  explicit ShadowMemory(const sim::PhysicalMemory::Snapshot& baseline) : baseline_(baseline) {}
 
-  std::uint32_t size() const { return static_cast<std::uint32_t>(baseline_.size()); }
+  std::uint32_t size() const { return baseline_.size(); }
   bool contains(sim::PhysAddr addr, std::uint32_t len) const {
     return addr < size() && static_cast<std::uint64_t>(addr) + len <= size();
   }
@@ -57,7 +62,7 @@ class ShadowMemory {
  private:
   std::vector<std::uint8_t>& materialize(std::uint32_t page_number);
 
-  std::span<const std::uint8_t> baseline_;
+  const sim::PhysicalMemory::Snapshot& baseline_;
   std::unordered_map<std::uint32_t, std::vector<std::uint8_t>> overlay_;
 };
 
@@ -82,7 +87,7 @@ class ReferenceInterpreter {
   /// `baseline` must be the machine's post-install_env DRAM image and must
   /// outlive the interpreter. `programs` are the same decoded programs
   /// loaded into the machine (including the halt stub).
-  ReferenceInterpreter(const EnvSpec& spec, std::span<const std::uint8_t> baseline,
+  ReferenceInterpreter(const EnvSpec& spec, const sim::PhysicalMemory::Snapshot& baseline,
                        std::vector<sim::Program> programs);
 
   /// Runs from `entry` until halt or `budget` steps; mirrors Cpu::run's

@@ -338,7 +338,7 @@ AesBlock AesMasked::encrypt(const AesBlock& plaintext) {
   // Masked state + mask state, processed in lockstep: linear layers apply
   // to both, so masked ^ mask == real at every point.
   ColumnState masked;
-  ColumnState mask;
+  ColumnState mask{};
   masked.load(plaintext);
   for (int col = 0; col < 4; ++col) {
     for (int row = 0; row < 4; ++row) {

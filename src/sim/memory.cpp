@@ -106,16 +106,7 @@ PhysicalMemory::Snapshot PhysicalMemory::snapshot() {
   std::uint32_t stored = 0;
   for (std::uint32_t p = 0; p < pages; ++p) {
     const std::uint8_t* page = data_.data() + static_cast<std::size_t>(p) * kPageSize;
-    bool zero = true;
-    for (std::uint32_t i = 0; i < kPageSize; i += 8) {
-      std::uint64_t w;
-      std::memcpy(&w, page + i, 8);
-      if (w != 0) {
-        zero = false;
-        break;
-      }
-    }
-    if (zero) {
+    if (std::memcmp(page, kZeroPageBytes.data(), kPageSize) == 0) {
       zero_snap_[p >> 6] |= 1ull << (p & 63);
     } else {
       snap.slot[p] = stored++;
@@ -127,11 +118,10 @@ PhysicalMemory::Snapshot PhysicalMemory::snapshot() {
 
 void PhysicalMemory::restore_page(const Snapshot& snap, std::uint32_t page) {
   std::uint8_t* dst = data_.data() + static_cast<std::size_t>(page) * kPageSize;
-  const std::uint32_t slot = snap.slot[page];
-  if (slot == Snapshot::kZeroPage) {
+  if (snap.zero(page)) {
     std::memset(dst, 0, kPageSize);
   } else {
-    std::memcpy(dst, snap.pages.data() + static_cast<std::size_t>(slot) * kPageSize, kPageSize);
+    std::memcpy(dst, snap.page(page).data(), kPageSize);
   }
 }
 

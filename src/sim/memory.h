@@ -15,8 +15,14 @@
 // conformance differ is the bitmap's other reader: on a pool-reset machine
 // it compares only the dirty pages (plus the oracle's written pages)
 // instead of all of DRAM.
+//
+// The Snapshot image is also the conformance layer's per-arch DRAM
+// baseline (conformance/differ.h): the reference interpreter reads through
+// it, and a full sweep compares its zero pages against the one shared,
+// cache-resident kZeroPageBytes page.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,6 +30,11 @@
 #include "sim/types.h"
 
 namespace hwsec::sim {
+
+/// One all-zero page, shared by every reader that needs "the bytes of a
+/// zero page": Snapshot::page() of a page the image does not store, and
+/// the zero scan in PhysicalMemory::snapshot().
+alignas(64) inline constexpr std::array<std::uint8_t, kPageSize> kZeroPageBytes{};
 
 class PhysicalMemory {
  public:
@@ -64,6 +75,19 @@ class PhysicalMemory {
     /// Per page: its index in `pages`, or kZeroPage for an all-zero page.
     std::vector<std::uint32_t> slot;
     std::vector<std::uint8_t> pages;  ///< the non-zero pages, in page order.
+
+    /// Bytes of the imaged DRAM (whole pages).
+    std::uint32_t size() const { return static_cast<std::uint32_t>(slot.size()) * kPageSize; }
+    /// True when page `p` was all-zero when imaged.
+    bool zero(std::uint32_t p) const { return slot[p] == kZeroPage; }
+    /// Page `p`'s bytes: the stored copy, or kZeroPageBytes.
+    std::span<const std::uint8_t, kPageSize> page(std::uint32_t p) const {
+      if (zero(p)) {
+        return kZeroPageBytes;
+      }
+      return std::span<const std::uint8_t, kPageSize>(
+          pages.data() + static_cast<std::size_t>(slot[p]) * kPageSize, kPageSize);
+    }
   };
 
   /// Captures the current contents and enables dirty-page tracking from

@@ -11,7 +11,9 @@
 //  * diff scope — pooled trials compare only dirty and oracle-written
 //    pages, yet miss nothing: the precondition holds on every arch, an
 //    oracle-only page is still compared, and a dropped dirty bit is caught
-//    by the fresh and seeded pooled full sweeps.
+//    by the fresh and seeded pooled full sweeps;
+//  * baseline   — the sparse per-arch image equals the flat post-install
+//    DRAM page for page, and the oracle reads through it word for word.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,9 +28,12 @@
 #include "conformance/differ.h"
 #include "conformance/fuzzer.h"
 #include "conformance/generator.h"
+#include "conformance/reference.h"
 #include "conformance/shrink.h"
 #include "core/campaign.h"
 #include "core/obs/metrics.h"
+#include "crypto/sha256.h"
+#include "sim/rng.h"
 
 namespace conf = hwsec::conformance;
 namespace core = hwsec::core;
@@ -174,7 +179,7 @@ TEST(Conformance, PristineMachineEqualsBaselineOutsideInstallFootprint) {
         continue;
       }
       const std::size_t off = static_cast<std::size_t>(p) * hwsec::sim::kPageSize;
-      EXPECT_EQ(std::memcmp(mem.raw().data() + off, arch.baseline.data() + off,
+      EXPECT_EQ(std::memcmp(mem.raw().data() + off, arch.baseline.page(p).data(),
                             hwsec::sim::kPageSize),
                 0)
           << conf::to_string(a) << " page " << p << " is clean but differs from the baseline";
@@ -230,6 +235,127 @@ TEST(Conformance, DiffPagesCounterShowsWhichPathRan) {
   EXPECT_EQ(fresh, 512u) << "a fresh machine sweeps all of DRAM";
   EXPECT_GE(pooled, 7u) << "install_env alone dirties 7 pages";
   EXPECT_LT(pooled, 32u) << "a pooled trial compares only dirty and oracle-written pages";
+}
+
+TEST(Conformance, FullSweepCounterCountsFreshAndSeededPooledTrials) {
+  // run_fuzz builds trial i fresh when i % fresh_every == 0 and hands it
+  // the campaign seed derive_seed(seed, i); the full sweep runs on every
+  // fresh trial and on every pooled trial whose seed is a multiple of 16.
+  const auto full_sweeps = [] {
+    return hwsec::obs::MetricsRegistry::instance().snapshot().counter("conformance_full_sweeps");
+  };
+  conf::FuzzConfig config;
+  config.seed = 0x5EE9;
+  config.trials = 160;
+  config.workers = 2;
+  std::uint64_t fresh = 0;
+  std::uint64_t seeded = 0;
+  for (std::size_t i = 0; i < config.trials; ++i) {
+    if (i % config.fresh_every == 0) {
+      ++fresh;
+    } else if (hwsec::sim::derive_seed(config.seed, i) % 16 == 0) {
+      ++seeded;
+    }
+  }
+  ASSERT_GT(seeded, 0u) << "the seed set must include a seeded pooled sweep";
+  const std::uint64_t before = full_sweeps();
+  const conf::FuzzReport report = conf::run_fuzz(config);
+  EXPECT_EQ(report.divergences, 0u);
+  EXPECT_EQ(full_sweeps() - before, fresh + seeded);
+}
+
+TEST(Conformance, SparseBaselineEqualsFlatPostInstallImage) {
+  // The baseline as it was built before it went sparse: a flat copy of a
+  // seed-1 machine's DRAM after install_env, measured word by word.
+  namespace sim = hwsec::sim;
+  for (const conf::FuzzArch a : conf::kAllFuzzArchs) {
+    const conf::ArchContext& arch = conf::arch_context(a);
+    sim::Machine machine(arch.profile, /*seed=*/1);
+    conf::MachineRunLog log;
+    EXPECT_EQ(conf::install_env(machine, arch.spec, log), arch.secret_frame);
+    const auto raw = std::as_const(machine.memory()).raw();
+    const std::vector<std::uint8_t> flat(raw.begin(), raw.end());
+    ASSERT_EQ(arch.baseline.size(), flat.size()) << conf::to_string(a);
+    std::uint32_t stored = 0;
+    for (std::uint32_t p = 0; p < flat.size() / sim::kPageSize; ++p) {
+      const std::uint8_t* want = flat.data() + static_cast<std::size_t>(p) * sim::kPageSize;
+      const bool zero =
+          std::all_of(want, want + sim::kPageSize, [](std::uint8_t b) { return b == 0; });
+      EXPECT_EQ(arch.baseline.zero(p), zero) << conf::to_string(a) << " page " << p;
+      EXPECT_EQ(std::memcmp(arch.baseline.page(p).data(), want, sim::kPageSize), 0)
+          << conf::to_string(a) << " page " << p;
+      stored += zero ? 0 : 1;
+    }
+    EXPECT_EQ(arch.baseline.pages.size(), static_cast<std::size_t>(stored) * sim::kPageSize);
+
+    std::vector<std::uint8_t> measured;
+    for (sim::PhysAddr at = arch.spec.measured_start; at < arch.spec.measured_end; at += 4) {
+      sim::Word w = static_cast<sim::Word>(flat[at]) | static_cast<sim::Word>(flat[at + 1]) << 8 |
+                    static_cast<sim::Word>(flat[at + 2]) << 16 |
+                    static_cast<sim::Word>(flat[at + 3]) << 24;
+      if (arch.spec.in_mee(at)) {
+        w = conf::mee_word(at, w);
+      }
+      for (int i = 0; i < 4; ++i) {
+        measured.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
+      }
+    }
+    EXPECT_EQ(arch.baseline_measurement, hwsec::crypto::Sha256::hash(measured))
+        << conf::to_string(a);
+  }
+}
+
+TEST(Conformance, ShadowWordReadEqualsFourByteReads) {
+  namespace sim = hwsec::sim;
+  const conf::ArchContext& arch = conf::arch_context(conf::FuzzArch::kSgx);
+  conf::ShadowMemory shadow(arch.baseline);
+  const std::uint32_t overlay_page = arch.secret_frame >> sim::kPageShift;
+  for (sim::PhysAddr off = 0; off < sim::kPageSize; off += 68) {
+    shadow.write32(arch.secret_frame + off, 0x0102'0304u * (off + 1));
+  }
+  ASSERT_EQ(shadow.overlay().count(overlay_page), 1u);
+  std::uint32_t baseline_page = 0;
+  while (arch.baseline.zero(baseline_page) || baseline_page == overlay_page) {
+    ++baseline_page;
+  }
+  std::uint32_t zero_page = 0;
+  while (!arch.baseline.zero(zero_page)) {
+    ++zero_page;
+  }
+  for (const std::uint32_t p : {overlay_page, baseline_page, zero_page}) {
+    for (sim::PhysAddr a = p * sim::kPageSize; a < (p + 1) * sim::kPageSize; a += 4) {
+      const sim::Word bytes = static_cast<sim::Word>(shadow.read8(a)) |
+                              static_cast<sim::Word>(shadow.read8(a + 1)) << 8 |
+                              static_cast<sim::Word>(shadow.read8(a + 2)) << 16 |
+                              static_cast<sim::Word>(shadow.read8(a + 3)) << 24;
+      ASSERT_EQ(shadow.read32(a), bytes) << "page " << p << " addr " << a;
+    }
+  }
+  EXPECT_EQ(shadow.read32(arch.secret_frame + 68), 0x0102'0304u * 69);
+  EXPECT_EQ(shadow.page(baseline_page).data(), arch.baseline.page(baseline_page).data())
+      << "an unwritten page reads through to the baseline";
+}
+
+TEST(Conformance, BlockFillMatchesWordByWordFill) {
+  namespace sim = hwsec::sim;
+  constexpr sim::PhysAddr kBase = 3 * sim::kPageSize;
+  constexpr sim::Word kTag = 0x0D00'0000u;
+  sim::PhysicalMemory block(8 * sim::kPageSize);
+  sim::PhysicalMemory words(8 * sim::kPageSize);
+  (void)block.snapshot();
+  (void)words.snapshot();
+  conf::fill_pattern(block, kBase, 2, kTag);
+  for (sim::PhysAddr a = kBase; a < kBase + 2 * sim::kPageSize; a += 4) {
+    words.write32(a, conf::pattern_word(a, kTag));
+  }
+  const auto got = std::as_const(block).raw();
+  const auto want = std::as_const(words).raw();
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+  EXPECT_EQ(block.read32(kBase + 8), kTag | (kBase + 8));
+  const auto got_dirty = block.dirty_bitmap();
+  const auto want_dirty = words.dirty_bitmap();
+  EXPECT_TRUE(std::equal(got_dirty.begin(), got_dirty.end(), want_dirty.begin(), want_dirty.end()));
+  EXPECT_EQ(block.dirty_page_count(), 2u);
 }
 
 TEST(Conformance, CorpusFormatRoundTrips) {

@@ -1,6 +1,7 @@
 // Physical DRAM model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -100,6 +101,33 @@ TEST(Memory, SnapshotRestoresZeroAndNonZeroPages) {
   mem.restore(snap);
   EXPECT_EQ(mem.read32(sim::kPageSize + 4), 0xCAFEF00Du);
   EXPECT_EQ(mem.read8(2 * sim::kPageSize), 0u);
+}
+
+TEST(Memory, SnapshotStoresPagesWithOnlyAnEdgeByteSet) {
+  sim::PhysicalMemory mem(4 * sim::kPageSize);
+  mem.write8(sim::kPageSize, 0x01);              // page 1: only its first byte.
+  mem.write8(3 * sim::kPageSize - 1, 0x80);      // page 2: only its last byte.
+  const sim::PhysicalMemory::Snapshot snap = mem.snapshot();
+  EXPECT_EQ(snap.size(), 4 * sim::kPageSize);
+  EXPECT_TRUE(snap.zero(0));
+  EXPECT_FALSE(snap.zero(1));
+  EXPECT_FALSE(snap.zero(2));
+  EXPECT_TRUE(snap.zero(3));
+  EXPECT_EQ(snap.pages.size(), 2 * sim::kPageSize) << "only the non-zero pages are stored";
+
+  for (const std::uint32_t p : {1u, 2u}) {
+    std::vector<std::uint8_t> want(sim::kPageSize);
+    mem.read_block(p * sim::kPageSize, want);
+    EXPECT_TRUE(std::equal(snap.page(p).begin(), snap.page(p).end(), want.begin()))
+        << "page " << p;
+  }
+  EXPECT_EQ(snap.page(1)[0], 0x01u);
+  EXPECT_EQ(snap.page(2)[sim::kPageSize - 1], 0x80u);
+  for (const std::uint32_t p : {0u, 3u}) {
+    EXPECT_EQ(snap.page(p).data(), sim::kZeroPageBytes.data()) << "zero pages share one page";
+    EXPECT_TRUE(std::all_of(snap.page(p).begin(), snap.page(p).end(),
+                            [](std::uint8_t b) { return b == 0; }));
+  }
 }
 
 TEST(Memory, FaultInjectionStoreSkipsTheDirtyBit) {

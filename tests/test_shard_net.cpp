@@ -18,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -29,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/obs/metrics.h"
 #include "core/resilience/resilient.h"
 #include "core/service/catalog.h"
 #include "core/service/remote_worker.h"
@@ -40,6 +42,7 @@
 #include "sim/rng.h"
 
 namespace core = hwsec::core;
+namespace obs = hwsec::obs;
 namespace shard = hwsec::core::shard;
 namespace service = hwsec::core::service;
 using hwsec::ErrorKind;
@@ -833,16 +836,37 @@ TEST(MultiHostProc, WorkerSigkillMidCampaignMigratesToSurvivors) {
       << error;
   cfg.shard_size = 4;
   cfg.max_reconnects = 1;  // the killed worker stays dead; survivors absorb.
-  // Pace trials so the kill lands mid-campaign deterministically enough.
+  // Pace trials so a shard is still in flight when the kill lands.
   spec.trial_delay_us = 3000;
 
-  std::thread assassin([worker_a] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    kill(worker_a, SIGKILL);
+  // Both hosts are dialed and handshaken before the first scheduling pass,
+  // which walks the workers in host order: the campaign's first shard
+  // assignment goes to worker A. Kill A once that assignment is counted,
+  // so A dies holding a shard; a deadline fails the test instead of
+  // killing late.
+  const auto assignments = [] {
+    return obs::MetricsRegistry::instance().snapshot().counter("shard_assignments");
+  };
+  const std::uint64_t assignments_before = assignments();
+  std::atomic<bool> killed{false};
+  std::atomic<bool> campaign_done{false};
+  std::thread assassin([&] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!campaign_done.load() && std::chrono::steady_clock::now() < deadline) {
+      if (assignments() > assignments_before) {
+        kill(worker_a, SIGKILL);
+        killed.store(true);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
   });
   shard::ShardStats stats;
   const auto got = run_sharded_spec(spec, cfg, &stats);
+  campaign_done.store(true);
   assassin.join();
+  EXPECT_TRUE(killed.load()) << "no shard was assigned before the campaign ended or the "
+                                "deadline passed; worker A was never killed";
 
   // The reference must use the SAME spec bytes (trial_delay_us changed).
   const auto paced_want = reference_run(spec);
