@@ -79,7 +79,7 @@ KeyMatch compare_keys(const sca::KeyAttackResult& a, const sca::KeyAttackResult&
   KeyMatch m;
   for (std::size_t i = 0; i < 16; ++i) {
     m.ranking_ok = m.ranking_ok && a.bytes[i].best_guess == b.bytes[i].best_guess;
-    for (const auto [x, y] : {std::pair{a.bytes[i].best_score, b.bytes[i].best_score},
+    for (const auto& [x, y] : {std::pair{a.bytes[i].best_score, b.bytes[i].best_score},
                               std::pair{a.bytes[i].second_score, b.bytes[i].second_score}}) {
       const double denom = std::max({std::abs(x), std::abs(y), 1e-12});
       m.max_rel_err = std::max(m.max_rel_err, std::abs(x - y) / denom);

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Smoke-runs every experiment binary (tables print; the google-benchmark
-# timing loops are skipped via --benchmark_filter=skip) and produces the
-# campaign-engine scaling record BENCH_campaign.json.
+# timing loops are skipped via --benchmark_filter=skip), including the
+# campaign-engine gates (bench_campaign) and the streaming-SCA gates
+# (bench_sca_streaming). Their verdict records land in the build dir.
+# Speed is perfbench's job (perfbench/run.py), not this script's.
 #
 # Hardened for unattended CI use: each binary runs under a wall-clock
 # timeout, a failing or hanging binary is reported and counted instead of
@@ -9,17 +11,19 @@
 # experiment failed.
 #
 # Usage: bench/run_all.sh [build-dir]   (default: build)
-# Knobs: HWSEC_CAMPAIGN_TRIALS  trials per scaling run (default 400)
-#        HWSEC_SHARD_TRIALS     trials per sharded run (default >= 1024)
-#        HWSEC_BENCH_JSON       output path for BENCH_campaign.json
+# Knobs: HWSEC_CAMPAIGN_TRIALS  trials per in-process gate run (default 400)
+#        HWSEC_SHARD_TRIALS     trials per sharded run (default 1024)
+#        HWSEC_BENCH_JSON       campaign verdicts (default <build-dir>/BENCH_campaign.json)
 #        HWSEC_STREAM_TRACES    streaming-SCA campaign size (default 10^6)
-#        HWSEC_STREAM_JSON      output path for BENCH_sca_streaming.json
+#        HWSEC_STREAM_JSON      streaming record (default <build-dir>/BENCH_sca_streaming.json)
 #        HWSEC_BENCH_TIMEOUT    per-binary timeout in seconds (default 900)
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 BENCH_DIR="$BUILD_DIR/bench"
 TIMEOUT_SECS="${HWSEC_BENCH_TIMEOUT:-900}"
+export HWSEC_BENCH_JSON="${HWSEC_BENCH_JSON:-$BUILD_DIR/BENCH_campaign.json}"
+export HWSEC_STREAM_JSON="${HWSEC_STREAM_JSON:-$BUILD_DIR/BENCH_sca_streaming.json}"
 
 if [ ! -d "$BENCH_DIR" ]; then
   echo "error: $BENCH_DIR not found — build first: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
@@ -50,7 +54,6 @@ BENCHES=(
   bench_conclusion_advisor
   bench_campaign
   bench_sca_streaming
-  bench_service
 )
 
 failures=0
@@ -75,4 +78,4 @@ if [ "$failures" -ne 0 ]; then
   echo "== $failures experiment(s) FAILED: ${failed_names[*]}" >&2
   exit 1
 fi
-echo "== all ${#BENCHES[@]} experiments passed (BENCH_campaign.json: ${HWSEC_BENCH_JSON:-BENCH_campaign.json})"
+echo "== all ${#BENCHES[@]} experiments passed (records: $HWSEC_BENCH_JSON, $HWSEC_STREAM_JSON)"

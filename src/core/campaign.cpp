@@ -21,9 +21,4 @@ CampaignSummary summarize(const std::vector<double>& outcomes) {
   return s;
 }
 
-void run_parallel_tasks(const std::vector<std::function<void()>>& tasks, unsigned workers) {
-  hwsec::sim::ThreadPool pool(workers);
-  pool.parallel_for(tasks.size(), [&](std::size_t i) { tasks[i](); });
-}
-
 }  // namespace hwsec::core

@@ -119,8 +119,7 @@ std::vector<Result> run_campaign(hwsec::sim::ThreadPool& pool, std::uint64_t see
   return results;
 }
 
-/// Summary of a campaign of scalar outcomes (used by bench_campaign and
-/// the sweep benches for machine-readable records).
+/// Summary of a campaign of scalar outcomes: count, mean, min, max, sum.
 struct CampaignSummary {
   std::size_t trials = 0;
   double mean = 0.0;
@@ -130,11 +129,5 @@ struct CampaignSummary {
 };
 
 CampaignSummary summarize(const std::vector<double>& outcomes);
-
-/// Runs a list of heterogeneous independent tasks (each its own closure)
-/// across `workers` threads. Task k must derive all randomness from inputs
-/// fixed before the call, so completion order cannot affect results. Used
-/// by the Figure-1 evaluation to fan its attack probes out.
-void run_parallel_tasks(const std::vector<std::function<void()>>& tasks, unsigned workers = 0);
 
 }  // namespace hwsec::core

@@ -2,7 +2,7 @@
 //
 // Constructing a sim::Machine zeroes all of DRAM and builds page tables,
 // cache arrays and per-core state — ~1 ms for the mobile profile, which
-// dominated per-trial cost in BENCH_campaign.json. The pool builds each
+// once dominated a Spectre campaign trial's cost. The pool builds each
 // machine once, captures a pristine post-construction MachineSnapshot, and
 // between leases restores that snapshot (dirty-page restore in
 // sim::PhysicalMemory makes this proportional to the trial's footprint)

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "core/json.h"
-#include "sim/obs_hook.h"
 
 namespace hwsec::obs {
 
@@ -16,8 +15,6 @@ MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry* registry = new MetricsRegistry();  // never destroyed:
   // shards are referenced from thread_local pointers whose threads may
   // outlive any static destruction order we could promise.
-  static const bool cpu_probe_installed = (install_cpu_probe(), true);
-  (void)cpu_probe_installed;
   return *registry;
 }
 
@@ -191,21 +188,6 @@ void MetricsRegistry::reset_for_test() {
   for (auto& g : gauges_) {
     g.store(0, std::memory_order_relaxed);
   }
-}
-
-#if defined(HWSEC_OBS_CPU)
-namespace {
-void cpu_committed_probe(std::uint64_t executed) {
-  static const Counter kCommitted = counter("cpu_instructions_committed");
-  kCommitted.add(executed);
-}
-}  // namespace
-#endif
-
-void install_cpu_probe() {
-#if defined(HWSEC_OBS_CPU)
-  hwsec::sim::g_cpu_commit_hook = &cpu_committed_probe;
-#endif
 }
 
 }  // namespace hwsec::obs

@@ -11,9 +11,7 @@
 //  * enabled (default): counter add = one relaxed load (the enable flag)
 //    plus one relaxed fetch_add on thread-local memory;
 //  * disabled (set_enabled(false)): the relaxed load and a predictable
-//    branch — nothing is written anywhere;
-//  * the Cpu commit path goes further: its probes compile to nothing unless
-//    the HWSEC_OBS_CPU CMake option is ON (see sim/obs_hook.h).
+//    branch — nothing is written anywhere.
 //
 // Metrics are identified by name, interned once into a small fixed table
 // (handles are cheap value types call sites cache in a static). Histograms
@@ -197,9 +195,5 @@ class ScopedTimer {
   bool armed_;
   std::chrono::steady_clock::time_point start_;
 };
-
-/// Installs the (compile-time gated) Cpu commit-path probe; a no-op unless
-/// the build sets HWSEC_OBS_CPU. Idempotent.
-void install_cpu_probe();
 
 }  // namespace hwsec::obs

@@ -331,9 +331,12 @@ std::vector<TrialOutcome<Result>> run_campaign_resilient(
   return outcomes;
 }
 
-/// Fault-contained variant of run_parallel_tasks: every task runs, and the
+/// Runs a list of heterogeneous independent tasks (each its own closure)
+/// across `workers` threads, fault-contained: every task runs, and the
 /// returned vector holds task k's wrapped exception (or nullopt on
-/// success). The caller decides what a partial fan-out means.
+/// success). Task k must derive all randomness from inputs fixed before
+/// the call, so completion order cannot affect results. The caller decides
+/// what a partial fan-out means.
 std::vector<std::optional<SimError>> run_parallel_tasks_resilient(
     const std::vector<std::function<void()>>& tasks, unsigned workers = 0);
 

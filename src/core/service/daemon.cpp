@@ -40,19 +40,6 @@ bool wait_readable(int fd, const std::atomic<bool>& stop) {
   return false;
 }
 
-bool write_all(int fd, const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + sent, bytes.size() - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 int errno_error(int fd, const std::string& what) {
   const std::string detail = what + ": " + std::strerror(errno);
   if (fd >= 0) ::close(fd);
@@ -315,7 +302,8 @@ void Daemon::handle_http(int fd) {
   response << status_line << "Content-Type: application/json\r\nContent-Length: "
            << body.size() << "\r\nConnection: close\r\n\r\n"
            << body;
-  write_all(fd, response.str());
+  const std::string bytes = response.str();
+  shard::write_all_fd(fd, bytes.data(), bytes.size());
 }
 
 void Daemon::handle_submit(int fd, const std::string& payload) {

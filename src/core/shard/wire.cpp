@@ -122,24 +122,6 @@ bool FrameBuffer::next(Frame& out) {
   return true;
 }
 
-bool drain_fd(int fd, FrameBuffer& buffer) {
-  char chunk[4096];
-  while (true) {
-    const ssize_t got = ::read(fd, chunk, sizeof(chunk));
-    if (got > 0) {
-      buffer.append(chunk, static_cast<std::size_t>(got));
-      continue;
-    }
-    if (got == 0) {
-      return false;  // peer closed.
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    return errno == EAGAIN || errno == EWOULDBLOCK;
-  }
-}
-
 std::string encode_assign(const AssignPayload& assign) {
   std::string out;
   put_u64(out, assign.shard_id);

@@ -151,10 +151,6 @@ class FrameBuffer {
   bool corrupt_ = false;
 };
 
-/// Reads whatever is available from a non-blocking fd into `buffer`.
-/// Returns false when the fd reached EOF or a hard error (worker gone).
-bool drain_fd(int fd, FrameBuffer& buffer);
-
 // ---- payload codecs ----------------------------------------------------
 
 struct AssignPayload {

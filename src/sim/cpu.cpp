@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/obs_hook.h"
 #include "sim/sim_error.h"
 
 namespace hwsec::sim {
-
-#if defined(HWSEC_OBS_CPU)
-CpuCommitHook g_cpu_commit_hook = nullptr;
-#endif
 
 Cpu::Cpu(CpuConfig config, Bus& bus)
     : config_(config),
@@ -133,10 +128,6 @@ RunResult Cpu::run(std::uint64_t max_instructions) {
       break;
     }
   }
-  // Compile-time no-op unless HWSEC_OBS_CPU is ON: the commit loop's
-  // instruction count is observable without a single instruction of cost
-  // in the default build.
-  HWSEC_OBS_CPU_COMMITTED(result.executed);
   return result;
 }
 

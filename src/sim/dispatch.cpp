@@ -63,6 +63,9 @@ const Cpu::LoadedProgram* Cpu::program_at(VirtAddr pc) const {
 #if defined(__GNUC__) || defined(__clang__)
 #define HWSEC_UOP_GOTO 1
 #define UOP_LABEL(k) u_##k:
+// Label addresses and computed gotos are the extension itself; -Wpedantic
+// flags every use, which a -Werror build cannot take.
+#pragma GCC diagnostic ignored "-Wpedantic"
 #else
 #define HWSEC_UOP_GOTO 0
 #define UOP_LABEL(k) case UopKind::k:
