@@ -13,10 +13,11 @@
 //     ports, the supervisor dials them through the host-discovery path
 //     hwsecd uses, and the merged vector is bit-identical at 1/2/4 hosts —
 //     including a chaos row where seeded worker SIGKILLs force
-//     disconnect-migrate-redial recovery. That row must show worker deaths
-//     and migrations, or the chaos was vacuous and the run fails (a
-//     healthy fleet's straggler splits migrate too, so migrations alone
-//     do not prove a kill landed);
+//     disconnect-migrate-redial recovery;
+//   * both chaos rows (E12b and E12c) must show worker deaths and
+//     migrations, or the chaos was vacuous and the run fails (a healthy
+//     fleet's straggler splits migrate too, so migrations alone do not
+//     prove a kill landed);
 //   * HWSEC_CAMPAIGN_MIN_TPS, when set, is a floor on the trials/sec of the
 //     timed sequential pass.
 //
@@ -192,6 +193,13 @@ struct GateRow {
   core::shard::ShardStats stats;
 };
 
+/// True for a chaos row that tested nothing: no worker died mid-shard, or
+/// nothing migrated (a healthy fleet's straggler splits migrate too, so
+/// migrations alone do not prove a kill landed).
+bool vacuous_chaos(const GateRow& row) {
+  return row.chaos && (row.stats.worker_deaths == 0 || row.stats.migrations == 0);
+}
+
 hwsec::bench::Table shard_table(const char* count_header) {
   hwsec::bench::Table t(
       {count_header, "chaos", "bit-identical", "deaths", "migrations", "fallback"},
@@ -279,6 +287,8 @@ int main(int argc, char** argv) {
   // over pipes, merge by trial index. Every row must be bit-identical to
   // the in-process reference — including the chaos row, where seeded
   // worker SIGKILLs force deaths, shard migrations, and respawns.
+  // Vacuous-chaos guard: false = the chaos row lost no worker or never migrated.
+  bool shard_chaos_migrated = true;
   const std::size_t shard_trials = env_size_t("HWSEC_SHARD_TRIALS", 1024);
   if (!core::shutdown_requested()) {
     hwsec::bench::section("E12b — sharded campaigns: multi-process supervisor");
@@ -303,11 +313,15 @@ int main(int argc, char** argv) {
           {.seed = 2027, .trials = shard_trials, .workers = 1}, res, shard, spectre_trial,
           &row.stats);
       row.deterministic = !core::shutdown_requested() && same_results(outcomes, shard_reference);
+      if (vacuous_chaos(row)) {
+        shard_chaos_migrated = false;
+      }
       print_shard_row(st, row);
       rows.push_back(row);
     }
     std::cout << "(chaos row: seeded worker SIGKILLs — the supervisor migrates each dead\n"
-                 " worker's shard and respawns it; the merged vector must still match)\n";
+                 " worker's shard and respawns it; the merged vector must still match,\n"
+                 " with nonzero deaths and migrations, or the row counts as a failed run)\n";
   }
 
   // ---- E12c: multi-host loopback — the campaign over real TCP ----------
@@ -379,8 +393,8 @@ int main(int argc, char** argv) {
         reap_worker(pid);
       }
       row.deterministic = !core::shutdown_requested() && same_results(outcomes, spec_reference);
-      if (chaos && (row.stats.worker_deaths == 0 || row.stats.migrations == 0)) {
-        multihost_chaos_migrated = false;  // nothing died mid-shard: vacuous chaos.
+      if (vacuous_chaos(row)) {
+        multihost_chaos_migrated = false;
       }
       print_shard_row(mt, row);
       rows.push_back(row);
@@ -417,6 +431,7 @@ int main(int argc, char** argv) {
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
+       << "  \"shard_chaos_migrated\": " << (shard_chaos_migrated ? "true" : "false") << ",\n"
        << "  \"multihost_chaos_migrated\": " << (multihost_chaos_migrated ? "true" : "false")
        << ",\n"
        << "  \"all_deterministic\": " << (all_deterministic ? "true" : "false") << "\n"
@@ -465,5 +480,7 @@ int main(int argc, char** argv) {
     std::cout << "perf floor: " << sequential_tps << " trials/sec vs. floor " << min_tps
               << " -> " << (fast_enough ? "OK" : "REGRESSION") << "\n";
   }
-  return all_deterministic && fast_enough && multihost_chaos_migrated ? 0 : 1;
+  return all_deterministic && fast_enough && shard_chaos_migrated && multihost_chaos_migrated
+             ? 0
+             : 1;
 }

@@ -105,10 +105,11 @@ ArchContext build_arch_context(FuzzArch arch) {
   return ctx;
 }
 
-/// Notes the first divergent word of one page, if any.
+/// Notes the first divergent word of one page, if any. Pages that are the
+/// same object (both sides still the shared zero page) need no compare.
 void diff_page(TrialVerdict& v, std::uint32_t page, const std::uint8_t* mp,
                const std::uint8_t* op) {
-  if (std::memcmp(mp, op, sim::kPageSize) == 0) {
+  if (mp == op || std::memcmp(mp, op, sim::kPageSize) == 0) {
     return;
   }
   for (std::uint32_t off = 0; off < sim::kPageSize; off += 4) {
@@ -127,7 +128,8 @@ void diff_page(TrialVerdict& v, std::uint32_t page, const std::uint8_t* mp,
 
 /// True when the measured region reads the same through `page_of` as in
 /// the baseline, compared page by page. A page that is the baseline page
-/// itself (an oracle page outside the overlay) needs no compare.
+/// itself (an oracle page outside the overlay, or the shared zero page on
+/// either side) needs no compare.
 template <typename PageOf>
 bool region_is_baseline(const ArchContext& arch, PageOf&& page_of) {
   const EnvSpec& spec = arch.spec;
@@ -289,14 +291,11 @@ TrialVerdict run_case(const ArchContext& arch, const GeneratedCase& test, std::u
   diff_faults(v, log.faults, oracle.faults);
 
   // ---- memory diff: DRAM pages vs baseline-or-overlay --------------------
-  const sim::PhysicalMemory& mem = std::as_const(machine.memory());
-  const auto dram = mem.raw();
+  const sim::PhysicalMemory& mem = machine.memory();
   const ShadowMemory& omem = ref.memory();
-  const auto machine_page = [&](std::uint32_t p) {
-    return dram.data() + static_cast<std::size_t>(p) * sim::kPageSize;
-  };
+  const auto machine_page = [&](std::uint32_t p) { return mem.page(p).data(); };
   const auto oracle_page = [&](std::uint32_t p) { return omem.page(p).data(); };
-  const std::uint32_t pages = static_cast<std::uint32_t>(dram.size()) / sim::kPageSize;
+  const std::uint32_t pages = mem.page_count();
   std::vector<std::uint64_t> compare((pages + 63) / 64, ~0ull);  // full sweep.
   const bool full_sweep = variant != MachineVariant::kPooled || !mem.dirty_tracked() ||
                           seed % kPooledSweepEvery == 0;

@@ -16,21 +16,25 @@
 //    must match between machine and oracle, and must equal the pre-trial
 //    measurement unless the enclave itself wrote the region.
 //
-// The DRAM diff memcmps machine pages against baseline-or-overlay. The
-// baseline is a sparse sim::PhysicalMemory::Snapshot (the same image type
-// the pool's pristine snapshots use): its ~10 non-zero pages are stored,
-// and every zero page is the one shared, cache-resident kZeroPageBytes.
-// A full sweep of all 512 pages still touches 2 MiB of machine DRAM, so a
-// pool-reset machine compares only the union of its dirty pages
+// The DRAM diff memcmps machine pages (PhysicalMemory::page) against
+// baseline-or-overlay. The baseline is a sparse
+// sim::PhysicalMemory::Snapshot (the same image type the pool's pristine
+// snapshots use): its ~10 non-zero pages are stored, and every zero page
+// is the one shared kZeroPageBytes. Machine DRAM is sparse the same way:
+// a page nobody wrote is kZeroPageBytes too, so a page that is that same
+// object on both sides needs no compare, and a full sweep of all 512
+// pages memcmps only the machine's materialized pages. A pool-reset
+// machine still compares only the union of its dirty pages
 // (PhysicalMemory::dirty_bitmap) and the oracle's overlay pages: every
 // other page is the pristine image on the machine and the baseline on the
 // oracle, which are the same bytes. Walked in ascending page order, that
 // set yields exactly the full sweep's mismatch list. The full sweep stays
 // for fresh machines (which also covers the shrinker and corpus replay),
-// for memory whose dirty tracking was bypassed, and for pooled trials
-// whose seed is a multiple of 16, which is what catches a missed dirty
-// bit leaving stale pool state behind; the conformance_full_sweeps
-// counter counts them. The measured region is hashed only when it no
+// for memory whose dirty tracking was never enabled, and for pooled
+// trials whose seed is a multiple of 16, which is what catches a missed
+// dirty bit leaving stale pool state behind (a store that skips the
+// dirty bit still materializes its page, which survives the restore);
+// the conformance_full_sweeps counter counts them. The measured region is hashed only when it no
 // longer equals the baseline bytes on both sides. Every choice depends
 // only on (arch, seed, variant, inject).
 #pragma once

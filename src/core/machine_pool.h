@@ -1,12 +1,13 @@
 // Snapshot/reset machine pool: amortizes per-trial Machine construction.
 //
-// Constructing a sim::Machine zeroes all of DRAM and builds page tables,
-// cache arrays and per-core state — ~1 ms for the mobile profile, which
-// once dominated a Spectre campaign trial's cost. The pool builds each
-// machine once, captures a pristine post-construction MachineSnapshot, and
-// between leases restores that snapshot (dirty-page restore in
-// sim::PhysicalMemory makes this proportional to the trial's footprint)
-// and reseeds the machine for the next trial.
+// Constructing a sim::Machine builds cache arrays, per-core state and the
+// DRAM page table (whose pages all start out as the one shared zero page,
+// so no DRAM is zeroed), which once dominated a Spectre campaign trial's
+// cost. The pool builds each machine once, captures a pristine
+// post-construction MachineSnapshot, and between leases restores that
+// snapshot (dirty-page restore in sim::PhysicalMemory makes this
+// proportional to the trial's footprint) and reseeds the machine for the
+// next trial.
 //
 // The equivalence contract — the reason pooling cannot change results:
 // Machine construction consumes its seed only through Rng(seed) and

@@ -1,156 +1,187 @@
 #include "sim/memory.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstring>
 
 namespace hwsec::sim {
 
+namespace {
+
+/// Calls visit(page, offset, length, done) for each page-sized piece of
+/// [addr, addr + len), in address order; `done` counts the bytes before it.
+template <typename Visit>
+void for_each_piece(PhysAddr addr, std::uint32_t len, Visit&& visit) {
+  for (std::uint32_t done = 0; done < len;) {
+    const PhysAddr at = addr + done;
+    const std::uint32_t off = at & kPageOffsetMask;
+    const std::uint32_t n = std::min(len - done, kPageSize - off);
+    visit(at >> kPageShift, off, n, done);
+    done += n;
+  }
+}
+
+std::array<std::uint8_t, 4> le_bytes(Word value) {
+  return {static_cast<std::uint8_t>(value), static_cast<std::uint8_t>(value >> 8),
+          static_cast<std::uint8_t>(value >> 16), static_cast<std::uint8_t>(value >> 24)};
+}
+
+}  // namespace
+
 PhysicalMemory::PhysicalMemory(std::uint32_t bytes) {
-  const std::uint32_t rounded = (bytes + kPageSize - 1) & ~kPageOffsetMask;
-  data_.assign(rounded, 0);
+  const std::uint32_t pages = (bytes + kPageSize - 1) >> kPageShift;
+  page_.assign(pages, kZeroPageBytes.data());
+  owned_.resize(pages);
+}
+
+void PhysicalMemory::materialize(std::uint32_t p) {
+  std::unique_ptr<PageBuffer> buf;
+  if (free_.empty()) {
+    buf = std::make_unique<PageBuffer>();  // value-initialized: zero.
+  } else {
+    buf = std::move(free_.back());
+    free_.pop_back();
+    buf->bytes.fill(0);
+  }
+  page_[p] = buf->bytes.data();
+  owned_[p] = std::move(buf);
+}
+
+void PhysicalMemory::release(std::uint32_t p) {
+  page_[p] = kZeroPageBytes.data();
+  free_.push_back(std::move(owned_[p]));
+}
+
+std::uint32_t PhysicalMemory::materialized_page_count() const {
+  return static_cast<std::uint32_t>(
+      std::count_if(owned_.begin(), owned_.end(), [](const auto& buf) { return buf != nullptr; }));
 }
 
 std::uint8_t PhysicalMemory::read8(PhysAddr addr) const {
   assert(contains(addr));
-  return data_[addr];
+  return page_[addr >> kPageShift][addr & kPageOffsetMask];
 }
 
 void PhysicalMemory::write8(PhysAddr addr, std::uint8_t value) {
   assert(contains(addr));
-  mark_dirty(addr, 1);
-  data_[addr] = value;
+  const std::uint32_t p = addr >> kPageShift;
+  writable(p)[addr & kPageOffsetMask] = value;
+  mark_dirty(p);
 }
 
 Word PhysicalMemory::read32(PhysAddr addr) const {
   assert(contains(addr, 4));
-  return static_cast<Word>(data_[addr]) | static_cast<Word>(data_[addr + 1]) << 8 |
-         static_cast<Word>(data_[addr + 2]) << 16 | static_cast<Word>(data_[addr + 3]) << 24;
+  const std::uint32_t off = addr & kPageOffsetMask;
+  if (off > kPageSize - 4) [[unlikely]] {
+    return static_cast<Word>(read8(addr)) | static_cast<Word>(read8(addr + 1)) << 8 |
+           static_cast<Word>(read8(addr + 2)) << 16 | static_cast<Word>(read8(addr + 3)) << 24;
+  }
+  const std::uint8_t* b = page_[addr >> kPageShift] + off;
+  return static_cast<Word>(b[0]) | static_cast<Word>(b[1]) << 8 |
+         static_cast<Word>(b[2]) << 16 | static_cast<Word>(b[3]) << 24;
 }
 
 void PhysicalMemory::write32(PhysAddr addr, Word value) {
   assert(contains(addr, 4));
-  mark_dirty(addr, 4);
-  store32(addr, value);
+  const std::uint32_t off = addr & kPageOffsetMask;
+  if (off > kPageSize - 4) [[unlikely]] {
+    store(addr, le_bytes(value), /*mark=*/true);
+    return;
+  }
+  const std::uint32_t p = addr >> kPageShift;
+  std::memcpy(writable(p) + off, le_bytes(value).data(), 4);
+  mark_dirty(p);
 }
 
 void PhysicalMemory::inject_write32_without_dirty_bit(PhysAddr addr, Word value) {
   assert(contains(addr, 4));
-  store32(addr, value);
+  store(addr, le_bytes(value), /*mark=*/false);
 }
 
-void PhysicalMemory::store32(PhysAddr addr, Word value) {
-  data_[addr] = static_cast<std::uint8_t>(value);
-  data_[addr + 1] = static_cast<std::uint8_t>(value >> 8);
-  data_[addr + 2] = static_cast<std::uint8_t>(value >> 16);
-  data_[addr + 3] = static_cast<std::uint8_t>(value >> 24);
+void PhysicalMemory::store(PhysAddr addr, std::span<const std::uint8_t> in, bool mark) {
+  for_each_piece(addr, static_cast<std::uint32_t>(in.size()),
+                 [&](std::uint32_t p, std::uint32_t off, std::uint32_t n, std::uint32_t done) {
+                   std::memcpy(writable(p) + off, in.data() + done, n);
+                   if (mark) {
+                     mark_dirty(p);
+                   }
+                 });
 }
 
 void PhysicalMemory::read_block(PhysAddr addr, std::span<std::uint8_t> out) const {
   assert(contains(addr, static_cast<std::uint32_t>(out.size())));
-  std::copy_n(data_.begin() + addr, out.size(), out.begin());
+  for_each_piece(addr, static_cast<std::uint32_t>(out.size()),
+                 [&](std::uint32_t p, std::uint32_t off, std::uint32_t n, std::uint32_t done) {
+                   std::memcpy(out.data() + done, page_[p] + off, n);
+                 });
 }
 
 void PhysicalMemory::write_block(PhysAddr addr, std::span<const std::uint8_t> in) {
   assert(contains(addr, static_cast<std::uint32_t>(in.size())));
-  if (!in.empty()) {
-    mark_dirty(addr, static_cast<std::uint32_t>(in.size()));
-  }
-  std::copy(in.begin(), in.end(), data_.begin() + addr);
+  store(addr, in, /*mark=*/true);
 }
 
 void PhysicalMemory::fill(PhysAddr addr, std::uint32_t len, std::uint8_t value) {
   assert(contains(addr, len));
-  if (len == 0) {
-    return;
-  }
-  if (value == 0 && tracking_ && !raw_dirty_ && !zero_snap_.empty()) {
-    // Zeroing a page that was zero at snapshot time and is still clean is a
-    // no-op: the bytes are already zero. Skipping the write also keeps the
-    // page out of the dirty set, so the next restore() skips it too. This
-    // makes the allocator's zero-fill of freshly mapped frames (the bulk of
-    // per-trial setup writes) nearly free on pooled machines.
-    const std::uint32_t first = addr >> kPageShift;
-    const std::uint32_t last = (addr + len - 1) >> kPageShift;
-    for (std::uint32_t p = first; p <= last; ++p) {
-      const bool skippable = (dirty_[p >> 6] & (1ull << (p & 63))) == 0 &&
-                             (zero_snap_[p >> 6] & (1ull << (p & 63))) != 0;
-      if (skippable) {
-        continue;
-      }
-      const PhysAddr page_base = p << kPageShift;
-      const PhysAddr lo = std::max(addr, page_base);
-      const PhysAddr hi = std::min<std::uint64_t>(static_cast<std::uint64_t>(addr) + len,
-                                                  page_base + kPageSize);
-      mark_dirty(lo, static_cast<std::uint32_t>(hi - lo));
-      std::fill_n(data_.begin() + lo, hi - lo, value);
-    }
-    return;
-  }
-  mark_dirty(addr, len);
-  std::fill_n(data_.begin() + addr, len, value);
+  for_each_piece(addr, len,
+                 [&](std::uint32_t p, std::uint32_t off, std::uint32_t n, std::uint32_t) {
+                   if (value == 0 && aliased(p)) {
+                     return;  // already zero: stays aliased and clean.
+                   }
+                   std::memset(writable(p) + off, value, n);
+                   mark_dirty(p);
+                 });
 }
 
 PhysicalMemory::Snapshot PhysicalMemory::snapshot() {
   Snapshot snap;
   tracking_ = true;
-  raw_dirty_ = false;
-  const std::uint32_t pages = static_cast<std::uint32_t>(data_.size() / kPageSize);
-  const std::size_t words = (pages + 63) / 64;
-  dirty_.assign(words, 0);
-  // Record which pages are all-zero in the snapshot image (see fill());
-  // only the others are copied into it.
-  zero_snap_.assign(words, 0);
+  const std::uint32_t pages = page_count();
+  dirty_.assign((pages + 63) / 64, 0);
   snap.slot.assign(pages, Snapshot::kZeroPage);
   std::uint32_t stored = 0;
   for (std::uint32_t p = 0; p < pages; ++p) {
-    const std::uint8_t* page = data_.data() + static_cast<std::size_t>(p) * kPageSize;
-    if (std::memcmp(page, kZeroPageBytes.data(), kPageSize) == 0) {
-      zero_snap_[p >> 6] |= 1ull << (p & 63);
+    if (!owned_[p]) {
+      continue;  // the shared zero page.
+    }
+    if (std::memcmp(page_[p], kZeroPageBytes.data(), kPageSize) == 0) {
+      release(p);
     } else {
       snap.slot[p] = stored++;
-      snap.pages.insert(snap.pages.end(), page, page + kPageSize);
+      snap.pages.insert(snap.pages.end(), page_[p], page_[p] + kPageSize);
     }
   }
   return snap;
 }
 
-void PhysicalMemory::restore_page(const Snapshot& snap, std::uint32_t page) {
-  std::uint8_t* dst = data_.data() + static_cast<std::size_t>(page) * kPageSize;
-  if (snap.zero(page)) {
-    std::memset(dst, 0, kPageSize);
-  } else {
-    std::memcpy(dst, snap.page(page).data(), kPageSize);
+void PhysicalMemory::restore_page(const Snapshot& snap, std::uint32_t p) {
+  if (!snap.zero(p)) {
+    std::memcpy(writable(p), snap.page(p).data(), kPageSize);
+  } else if (owned_[p]) {
+    release(p);
   }
 }
 
 void PhysicalMemory::restore(const Snapshot& snap) {
-  const std::uint32_t pages = static_cast<std::uint32_t>(data_.size() / kPageSize);
+  const std::uint32_t pages = page_count();
   assert(snap.slot.size() == pages);
-  if (!tracking_ || raw_dirty_) {
-    // No tracking (snapshot taken elsewhere) or the fast path was poisoned
-    // by a mutable raw() span: fall back to restoring every page.
-    for (std::uint32_t page = 0; page < pages; ++page) {
-      restore_page(snap, page);
+  if (!tracking_) {
+    // Tracking was never enabled here (the snapshot was taken elsewhere):
+    // no bitmap says what changed, so restore every page.
+    for (std::uint32_t p = 0; p < pages; ++p) {
+      restore_page(snap, p);
     }
   } else {
     for (std::uint32_t word = 0; word < dirty_.size(); ++word) {
-      std::uint64_t bits = dirty_[word];
-      while (bits != 0) {
-        const std::uint32_t bit = static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::uint32_t page = word * 64 + bit;
-        if (page >= pages) {
-          break;
-        }
-        restore_page(snap, page);
+      for (std::uint64_t bits = dirty_[word]; bits != 0; bits &= bits - 1) {
+        restore_page(snap, word * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
       }
     }
   }
   tracking_ = true;
-  raw_dirty_ = false;
-  dirty_.assign((data_.size() / kPageSize + 63) / 64, 0);
+  dirty_.assign((pages + 63) / 64, 0);
 }
 
 std::uint32_t PhysicalMemory::dirty_page_count() const {

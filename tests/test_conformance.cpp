@@ -168,7 +168,7 @@ TEST(Conformance, PristineMachineEqualsBaselineOutsideInstallFootprint) {
     conf::install_env(machine, arch.spec, log);
     const hwsec::sim::PhysicalMemory& mem = std::as_const(machine.memory());
     ASSERT_TRUE(mem.dirty_tracked()) << conf::to_string(a);
-    ASSERT_EQ(mem.raw().size(), arch.baseline.size());
+    ASSERT_EQ(mem.size(), arch.baseline.size());
     // Root, L2 table, 2 data, rodata, supervisor and secret frames on MMU
     // profiles; 2 data, rodata and secret pages on MPU ones.
     EXPECT_EQ(mem.dirty_page_count(), arch.spec.has_mmu ? 7u : 4u) << conf::to_string(a);
@@ -178,8 +178,7 @@ TEST(Conformance, PristineMachineEqualsBaselineOutsideInstallFootprint) {
       if ((dirty[p / 64] >> (p % 64)) & 1) {
         continue;
       }
-      const std::size_t off = static_cast<std::size_t>(p) * hwsec::sim::kPageSize;
-      EXPECT_EQ(std::memcmp(mem.raw().data() + off, arch.baseline.page(p).data(),
+      EXPECT_EQ(std::memcmp(mem.page(p).data(), arch.baseline.page(p).data(),
                             hwsec::sim::kPageSize),
                 0)
           << conf::to_string(a) << " page " << p << " is clean but differs from the baseline";
@@ -273,8 +272,8 @@ TEST(Conformance, SparseBaselineEqualsFlatPostInstallImage) {
     sim::Machine machine(arch.profile, /*seed=*/1);
     conf::MachineRunLog log;
     EXPECT_EQ(conf::install_env(machine, arch.spec, log), arch.secret_frame);
-    const auto raw = std::as_const(machine.memory()).raw();
-    const std::vector<std::uint8_t> flat(raw.begin(), raw.end());
+    std::vector<std::uint8_t> flat(machine.memory().size());
+    machine.memory().read_block(0, flat);
     ASSERT_EQ(arch.baseline.size(), flat.size()) << conf::to_string(a);
     std::uint32_t stored = 0;
     for (std::uint32_t p = 0; p < flat.size() / sim::kPageSize; ++p) {
@@ -348,9 +347,11 @@ TEST(Conformance, BlockFillMatchesWordByWordFill) {
   for (sim::PhysAddr a = kBase; a < kBase + 2 * sim::kPageSize; a += 4) {
     words.write32(a, conf::pattern_word(a, kTag));
   }
-  const auto got = std::as_const(block).raw();
-  const auto want = std::as_const(words).raw();
-  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+  std::vector<std::uint8_t> got(block.size());
+  std::vector<std::uint8_t> want(words.size());
+  block.read_block(0, got);
+  words.read_block(0, want);
+  EXPECT_EQ(got, want);
   EXPECT_EQ(block.read32(kBase + 8), kTag | (kBase + 8));
   const auto got_dirty = block.dirty_bitmap();
   const auto want_dirty = words.dirty_bitmap();

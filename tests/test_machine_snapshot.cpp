@@ -189,15 +189,20 @@ TEST(MachineSnapshot, DirtyPageTrackingCoversTrialWrites) {
   EXPECT_EQ(m.memory().dirty_page_count(), 0u) << "restore must re-arm tracking";
 }
 
-TEST(MachineSnapshot, MutableRawSpanForcesFullRestore) {
-  sim::Machine m(sim::MachineProfile::embedded(), 4);
-  const sim::MachineSnapshot snap = m.snapshot();
-  // Writes through the raw span bypass the dirty-page bookkeeping; the
-  // restore must notice the poisoned fast path and full-copy instead.
-  auto raw = m.memory().raw();
-  raw[100] = 0x77;
-  m.reset_to(snap);
-  EXPECT_EQ(m.memory().read8(100), 0u);
+TEST(MachineSnapshot, UntrackedMemoryRestoresEveryPage) {
+  sim::Machine a(sim::MachineProfile::embedded(), 4);
+  sim::Machine b(sim::MachineProfile::embedded(), 4);
+  const sim::MachineSnapshot snap = a.snapshot();
+  // b's DRAM never took a snapshot, so no dirty bitmap says what changed:
+  // restoring a's image onto it must take the full-restore path.
+  b.memory().write8(100, 0x77);
+  b.memory().write32(5 * sim::kPageSize, 0x1234);
+  ASSERT_FALSE(b.memory().dirty_tracked());
+  b.memory().restore(snap.memory);
+  EXPECT_EQ(b.memory().read8(100), 0u);
+  EXPECT_EQ(b.memory().read32(5 * sim::kPageSize), 0u);
+  EXPECT_EQ(b.memory().materialized_page_count(), 0u);
+  EXPECT_TRUE(b.memory().dirty_tracked());
 }
 
 // ---- cache hierarchy vs the pool's empty pristine snapshot -------------
