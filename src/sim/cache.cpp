@@ -46,10 +46,59 @@ Cache::Cache(CacheConfig config, std::uint64_t rng_seed)
   }
   line_shift_ = log2_pow2(config_.line_size);
   set_mask_ = config_.num_sets() - 1;
-  lines_.assign(static_cast<std::size_t>(config_.num_sets()) * config_.ways, Line{});
+  // Uninitialized on purpose: a line is written by its first fill and
+  // read only under its valid bit, so no line byte is touched here.
+  lines_ = std::make_unique_for_overwrite<Line[]>(line_count());
   valid_ways_.assign(config_.num_sets(), 0);
   occupied_sets_.assign((config_.num_sets() + 63) / 64, 0);
-  plru_bits_.assign(config_.num_sets(), 0);
+  if (config_.policy == ReplacementPolicy::kTreePlru) {
+    plru_bits_.assign(config_.num_sets(), 0);
+  }
+}
+
+Cache::Cache(const Cache& other) { *this = other; }
+
+Cache& Cache::operator=(const Cache& other) {
+  if (this == &other) {
+    return *this;
+  }
+  if (lines_ == nullptr || config_.ways != other.config_.ways ||
+      set_mask_ != other.set_mask_) {
+    lines_ = std::make_unique_for_overwrite<Line[]>(other.line_count());
+  }
+  config_ = other.config_;
+  line_shift_ = other.line_shift_;
+  set_mask_ = other.set_mask_;
+  valid_lines_ = other.valid_lines_;
+  removal_epoch_ = other.removal_epoch_;
+  valid_ways_ = other.valid_ways_;
+  occupied_sets_ = other.occupied_sets_;
+  plru_bits_ = other.plru_bits_;
+  partition_lut_ = other.partition_lut_;
+  partitions_installed_ = other.partitions_installed_;
+  clock_ = other.clock_;
+  scramble_key_ = other.scramble_key_;
+  rng_ = other.rng_;
+  stats_ = other.stats_;
+  per_domain_ = other.per_domain_;
+  tracking_ = other.tracking_;
+  epoch_ = other.epoch_;
+  touched_epoch_ = other.touched_epoch_;
+  touched_lines_ = other.touched_lines_;
+  copy_valid_lines(other);
+  return *this;
+}
+
+void Cache::copy_valid_lines(const Cache& other) {
+  for (std::uint32_t w = 0; w < other.occupied_sets_.size(); ++w) {
+    for (std::uint64_t sets = other.occupied_sets_[w]; sets != 0; sets &= sets - 1) {
+      const std::uint32_t set = (w << 6) + static_cast<std::uint32_t>(std::countr_zero(sets));
+      for (std::uint32_t mask = other.valid_ways_[set]; mask != 0; mask &= mask - 1) {
+        const auto way = static_cast<std::uint32_t>(std::countr_zero(mask));
+        line_at(set, way) = other.line_at(set, way);
+      }
+    }
+  }
 }
 
 bool Cache::probe(PhysAddr addr) const {
@@ -187,7 +236,7 @@ void Cache::set_way_partition(DomainId domain, std::uint32_t first_way, std::uin
   drop_owned(domain, ~range_mask({first_way, num_ways}));
 }
 
-std::optional<std::uint32_t> Cache::find_way(PhysAddr addr, DomainId domain) const {
+std::uint32_t Cache::find_way(PhysAddr addr, DomainId domain) const {
   const PhysAddr base = line_base(addr);
   const std::uint32_t set = set_index(addr);
   for (std::uint32_t mask = valid_ways_[set] & range_mask(ways_for(domain)); mask != 0;
@@ -197,7 +246,7 @@ std::optional<std::uint32_t> Cache::find_way(PhysAddr addr, DomainId domain) con
       return (set << 8) | way;
     }
   }
-  return std::nullopt;
+  return kNoWay;
 }
 
 void Cache::set_index_scramble(std::uint64_t key) {
@@ -231,7 +280,7 @@ void Cache::begin_set_tracking() {
   touched_lines_.clear();
   tracking_ = !empty();
   if (tracking_) {
-    touched_epoch_.assign(lines_.size(), 0);
+    touched_epoch_.assign(line_count(), 0);
     epoch_ = 1;
   } else {
     std::vector<std::uint8_t>().swap(touched_epoch_);  // snapshots copy it.
@@ -243,7 +292,8 @@ void Cache::restore_from(const Cache& snap) {
   // the snapshot's value): any fetch memo armed against pre-restore state
   // must observe a change, whichever restore path runs.
   const std::uint64_t epoch_after = removal_epoch_ + 1;
-  if (lines_.size() != snap.lines_.size() || (!tracking_ && !snap.empty())) {
+  if (config_.ways != snap.config_.ways || set_mask_ != snap.set_mask_ ||
+      (!tracking_ && !snap.empty())) {
     // A different geometry, or valid snapshot lines with no journal to
     // say which of ours differ from them (`snap` was not taken at this
     // cache's begin_set_tracking()).
@@ -268,11 +318,15 @@ void Cache::restore_from(const Cache& snap) {
   // every tree node on a touched way's path was rewritten by that touch. A
   // node no touched way lies under spans a way interval disjoint from the
   // contiguous candidate range, and plru_victim clamps any leaf there to
-  // the same end of the range, whatever the stale bits say.
+  // the same end of the range, whatever the stale bits say. A journaled
+  // line whose way is invalid in the snapshot is invalid once the masks
+  // are back, so it is not copied: the snapshot may hold no bytes for it.
   for (const std::uint32_t index : touched_lines_) {
-    lines_[index] = snap.lines_[index];
+    const std::uint32_t set = index / config_.ways;
+    if ((snap.valid_ways_[set] >> (index - set * config_.ways)) & 1u) {
+      lines_[index] = snap.lines_[index];
+    }
     if (config_.policy == ReplacementPolicy::kTreePlru) {
-      const std::uint32_t set = index / config_.ways;
       plru_bits_[set] = snap.plru_bits_[set];  // dead state under LRU/random.
     }
   }

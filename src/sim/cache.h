@@ -26,11 +26,26 @@
 // journal that restores line *contents* (and tree-PLRU bits) is armed only
 // when the snapshot holds valid lines; the machine pool's pristine
 // snapshots are taken with empty caches, so pooled trials never journal.
+//
+// Line storage contract: no Line byte is written before the fill that sets
+// its way's valid bit, and none is read while that bit is clear. The line
+// array is allocated without initialization (make_unique_for_overwrite, and
+// Line has no member initializers), so building a cache costs its masks,
+// not its lines: a 4 MiB LLC's 1 MiB line array stays untouched host
+// memory until fills reach it. Copies (snapshots, the machine pool's
+// pristine images, restore_from's whole-copy path) carry the masks plus
+// the valid lines of occupied sets only, so copying an empty cache copies
+// no line bytes, and the journal replay copies a line back only if its way
+// is valid in the snapshot. This is not the lazily mapped DRAM that was
+// rejected for PhysicalMemory: there, the differ's full sweep reads every
+// page and would fault them all in; no cache code walks all lines, and
+// every walk goes through the occupancy bitmaps.
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,6 +92,14 @@ struct CacheStats {
 class Cache {
  public:
   explicit Cache(CacheConfig config, std::uint64_t rng_seed = 1);
+
+  /// Copies carry the masks and the valid lines of occupied sets only (see
+  /// the file comment); assignment reuses the line array when the geometry
+  /// matches.
+  Cache(const Cache& other);
+  Cache& operator=(const Cache& other);
+  Cache(Cache&&) noexcept = default;
+  Cache& operator=(Cache&&) noexcept = default;
 
   const CacheConfig& config() const { return config_; }
 
@@ -182,10 +205,16 @@ class Cache {
   /// same domain visibility — the foundation of the CPU's fetch memo.
   std::uint64_t removal_epoch() const { return removal_epoch_; }
 
+  /// find_way()'s "access() would miss" result. Never a found way's
+  /// encoding: a way is at most 31, so its low byte is never 0xFF.
+  static constexpr std::uint32_t kNoWay = ~0u;
+
   /// Locates the way holding `addr`'s line as a hit by `domain` would find
   /// it (honoring the domain's way partition). Returns (set << 8) | way,
-  /// or nullopt when access() would miss. Read-only.
-  std::optional<std::uint32_t> find_way(PhysAddr addr, DomainId domain) const;
+  /// or kNoWay when access() would miss. Read-only. A plain sentinel, not
+  /// std::optional, for the reason given at AccessResult: the CPU's fetch
+  /// memo re-arms with it on every memo miss.
+  std::uint32_t find_way(PhysAddr addr, DomainId domain) const;
 
   /// Replays the side effects of a *hit* previously located by
   /// find_way(): LRU stamp, PLRU touch, hit counters, touch journal —
@@ -231,12 +260,14 @@ class Cache {
   /// hottest data structure and its footprint is what the host's caches
   /// have to absorb on every probe sweep.
   /// Whether the line is valid is not a field: it is the way's bit in
-  /// valid_ways_ (see the file comment).
+  /// valid_ways_ (see the file comment). No member initializers on
+  /// purpose: the array is allocated uninitialized and every field is
+  /// written by the fill that makes the line valid.
   struct Line {
-    PhysAddr tag_base = 0;  ///< line-aligned physical address.
-    DomainId owner = kDomainNormal;
-    bool dirty = false;
-    std::uint64_t lru_stamp = 0;
+    PhysAddr tag_base;  ///< line-aligned physical address.
+    DomainId owner;
+    bool dirty;
+    std::uint64_t lru_stamp;
   };
 
   struct WayRange {
@@ -267,6 +298,9 @@ class Cache {
   /// flush_lines() over `n` <= num_sets consecutive lines from `first_line`.
   void flush_line_run(PhysAddr first_line, std::uint32_t n);
   std::uint32_t choose_victim(std::uint32_t set, WayRange range);
+  std::size_t line_count() const { return std::size_t{set_mask_ + 1} * config_.ways; }
+  /// Copies `other`'s valid lines into this cache's (same-geometry) array.
+  void copy_valid_lines(const Cache& other);
   Line& line_at(std::uint32_t set, std::uint32_t way) { return lines_[set * config_.ways + way]; }
   const Line& line_at(std::uint32_t set, std::uint32_t way) const {
     return lines_[set * config_.ways + way];
@@ -309,7 +343,9 @@ class Cache {
   CacheConfig config_;
   std::uint32_t line_shift_ = 6;  ///< log2(line_size), for set_index.
   std::uint32_t set_mask_ = 0;    ///< num_sets - 1, for set_index.
-  std::vector<Line> lines_;
+  /// line_count() lines, set-major, allocated uninitialized (see the file
+  /// comment): only lines whose way's valid bit is set hold meaningful bytes.
+  std::unique_ptr<Line[]> lines_;
   std::uint32_t valid_lines_ = 0;  ///< total valid lines, for empty().
   std::uint64_t removal_epoch_ = 0;
   /// Per-set bitmask of valid ways. Gives flush_line an O(1) miss and the
@@ -330,7 +366,9 @@ class Cache {
       occupied_sets_[set >> 6] &= ~(std::uint64_t{1} << (set & 63));
     }
   }
-  std::vector<std::uint32_t> plru_bits_;  ///< one bitfield of tree bits per set.
+  /// One bitfield of tree bits per set; allocated for tree-PLRU caches
+  /// only (the bits are dead state under LRU and random).
+  std::vector<std::uint32_t> plru_bits_;
   /// Way partitions as a flat table indexed by DomainId (domains are small
   /// dense integers). A slot with count == 0 — including every id beyond
   /// the table — means "unrestricted". Replaces a per-access

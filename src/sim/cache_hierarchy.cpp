@@ -14,8 +14,9 @@ CacheHierarchy::CacheHierarchy(HierarchyConfig config) : config_(std::move(confi
     for (std::uint32_t c = 0; c < config_.num_cores; ++c) {
       CacheConfig d = config_.l1d;
       CacheConfig i = config_.l1i;
-      d.name += "[" + std::to_string(c) + "]";
-      i.name += "[" + std::to_string(c) + "]";
+      const std::string suffix = std::to_string(c);
+      d.name.append("[").append(suffix).append("]");
+      i.name.append("[").append(suffix).append("]");
       l1d_.push_back(std::make_unique<Cache>(d, config_.rng_seed + 2 * c));
       l1i_.push_back(std::make_unique<Cache>(i, config_.rng_seed + 2 * c + 1));
     }

@@ -119,9 +119,11 @@ class CacheHierarchy {
   };
 
   // -- snapshot / restore (Machine::snapshot) ---------------------------
-  /// Value copies of every cache level plus the uncacheable ranges. Cache
-  /// objects are plain data (lines, PLRU bits, partition LUT, RNG), so a
-  /// copy captures replacement state exactly. Taking a snapshot marks each
+  /// Value copies of every cache level plus the uncacheable ranges. A Cache
+  /// copy carries its masks, PLRU bits, partition LUT and RNG, plus the
+  /// valid lines of occupied sets (no other line is ever read, see
+  /// sim/cache.h), so it captures replacement state exactly and a copy of
+  /// an empty cache copies no line bytes. Taking a snapshot marks each
   /// cache's restore point (Cache::begin_set_tracking), so restore() puts
   /// back the way masks of occupied sets and only the lines touched since.
   ///

@@ -167,15 +167,15 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
       // of this pc takes the hit path the memo replays.
       if (mpu_ == nullptr && l1i != nullptr && !mmu_.bare_mode() && (ctx & 1u) == 0 &&
           fetch.level != ServiceLevel::kUncached) {
-        const auto tlb_index = tlb.find_index(pc, mmu_.asid());
-        const auto l1i_way = l1i->find_way(ftr.phys, domain);
-        if (tlb_index.has_value() && l1i_way.has_value()) {
+        const std::uint32_t tlb_index = tlb.find_index(pc, mmu_.asid());
+        const std::uint32_t l1i_way = l1i->find_way(ftr.phys, domain);
+        if (tlb_index != Tlb::kNoIndex && l1i_way != Cache::kNoWay) {
           memo.pc = pc;
           memo.phys = ftr.phys;
           memo.latency = tlb.config().hit_latency + l1i->config().hit_latency;
-          memo.tlb_index = *tlb_index;
-          memo.l1i_set = *l1i_way >> 8;
-          memo.l1i_way = *l1i_way & 0xFFu;
+          memo.tlb_index = tlb_index;
+          memo.l1i_set = l1i_way >> 8;
+          memo.l1i_way = l1i_way & 0xFFu;
           memo.ctx = ctx;
           memo.tlb_epoch = tlb.removal_epoch();
           memo.l1i_epoch = l1i->removal_epoch();

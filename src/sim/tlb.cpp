@@ -72,7 +72,7 @@ std::optional<TlbEntry> Tlb::lookup(VirtAddr va, Asid asid) {
   return std::nullopt;
 }
 
-std::optional<std::uint32_t> Tlb::find_index(VirtAddr va, Asid asid) const {
+std::uint32_t Tlb::find_index(VirtAddr va, Asid asid) const {
   const std::uint32_t vpn = page_number(va);
   const std::uint32_t set = set_index(va);
   const WayRange range = ways_for(asid);
@@ -83,7 +83,7 @@ std::optional<std::uint32_t> Tlb::find_index(VirtAddr va, Asid asid) const {
       return index;
     }
   }
-  return std::nullopt;
+  return kNoIndex;
 }
 
 bool Tlb::present(VirtAddr va, Asid asid) const {

@@ -82,9 +82,14 @@ class Tlb {
   /// an index is still there, same vpn/pfn/flags/asid.
   std::uint64_t removal_epoch() const { return removal_epoch_; }
 
-  /// Locates the entry index that lookup(va, asid) would hit, or nullopt if
-  /// it would miss. Read-only (no LRU refresh, no counters).
-  std::optional<std::uint32_t> find_index(VirtAddr va, Asid asid) const;
+  /// find_index()'s "lookup() would miss" result.
+  static constexpr std::uint32_t kNoIndex = ~0u;
+
+  /// Locates the entry index that lookup(va, asid) would hit, or kNoIndex
+  /// if it would miss. Read-only (no LRU refresh, no counters). A plain
+  /// sentinel, as with Cache::find_way: a std::optional result made the
+  /// CPU's fetch-memo re-arm spill it through the stack.
+  std::uint32_t find_index(VirtAddr va, Asid asid) const;
 
   /// Entry contents by index (for memo arming). Caller guarantees the index
   /// came from find_index() under an unchanged removal_epoch().

@@ -13,6 +13,7 @@
 //       (or, for drop-dirty-bit, write DRAM behind the dirty bitmap's back),
 //       and exit 0 only if the fuzzer catches it AND shrinks a reproducer
 //       to <= 20 instructions. CI runs this to prove the oracle has teeth.
+//       Runs 64 trials unless --trials is given (in either order).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -53,6 +54,7 @@ int main(int argc, char** argv) {
   config.seed = 20260806;
   config.trials = 10000;
   bool self_test = false;
+  bool trials_given = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -61,6 +63,7 @@ int main(int argc, char** argv) {
       const char* n = next();
       if (n == nullptr) return usage(argv[0]);
       config.trials = static_cast<std::size_t>(std::strtoull(n, nullptr, 10));
+      trials_given = true;
     } else if (arg == "--seed") {
       const char* n = next();
       if (n == nullptr) return usage(argv[0]);
@@ -90,10 +93,12 @@ int main(int argc, char** argv) {
       } else {
         return usage(argv[0]);
       }
-      config.trials = 64;  // one injected bug fires on nearly every trial.
     } else {
       return usage(argv[0]);
     }
+  }
+  if (self_test && !trials_given) {
+    config.trials = 64;  // one injected bug fires on nearly every trial.
   }
   config = conf::fuzz_config_from_env(config);
 

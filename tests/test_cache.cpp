@@ -270,6 +270,101 @@ TEST_P(ReplacementPolicyTest, RestoreWarmSnapshotWithoutJournalCopiesIt) {
   }
 }
 
+// ---- line storage contract ----------------------------------------------
+//
+// The line array is allocated uninitialized and copies carry only the
+// valid lines of occupied sets, so a line's bytes may be stale or absent
+// whenever its way's valid bit is clear. A cache emptied after heavy use
+// still holds the stream's own tags in every such line; neither it nor a
+// copy of it may ever show them.
+
+/// Fills every way of every set exactly once, ways 0..3 of sets 0..5 with
+/// tags access_stream() asks for, as dirty lines from rotating domains.
+/// Nothing is evicted, so a random-policy cache draws nothing from its RNG.
+void fill_every_way(sim::Cache& cache) {
+  for (sim::PhysAddr set = 0; set < 16; ++set) {
+    for (sim::PhysAddr tag = 0; tag < 4; ++tag) {
+      cache.access(tag * 64 * 16 + set * 64, static_cast<sim::DomainId>((set + tag) % 3),
+                   sim::AccessType::kWrite);
+    }
+  }
+}
+
+/// Expects `emptied`, a copy of it, and a warm same-geometry cache assigned
+/// from it to replay a seeded stream exactly like `fresh`. `partitioned`
+/// restricts domain 2 to ways 1..2 in all four first.
+void expect_matches_fresh(sim::Cache& emptied, sim::Cache fresh, bool partitioned) {
+  sim::Cache copy = emptied;
+  sim::Cache assigned(emptied.config(), 9);
+  fill_every_way(assigned);
+  access_stream(assigned, 5);
+  assigned = emptied;
+  for (sim::Cache* c : {&fresh, &emptied, &copy, &assigned}) {
+    if (partitioned) {
+      c->set_way_partition(2, 1, 2);
+    }
+  }
+  const std::vector<std::uint64_t> expected = access_stream(fresh, 7);
+  EXPECT_EQ(access_stream(emptied, 7), expected) << "emptied cache";
+  EXPECT_EQ(access_stream(copy, 7), expected) << "copy";
+  EXPECT_EQ(access_stream(assigned, 7), expected) << "assigned over a warm cache";
+}
+
+TEST_P(ReplacementPolicyTest, EmptiedCacheAndItsCopiesMatchFreshCache) {
+  const sim::CacheConfig config = small_cache(GetParam());
+  for (const bool partitioned : {false, true}) {
+    SCOPED_TRACE(partitioned ? "partitioned" : "unpartitioned");
+    {
+      SCOPED_TRACE("flush_all");
+      sim::Cache flushed(config, 3);
+      fill_every_way(flushed);
+      if (GetParam() != sim::ReplacementPolicy::kRandom) {
+        // Evictions draw from a random cache's RNG, which flush_all keeps.
+        access_stream(flushed, 11);
+        access_stream(flushed, 12);
+      }
+      flushed.flush_all();
+      flushed.reset_stats();
+      ASSERT_TRUE(flushed.empty());
+      expect_matches_fresh(flushed, sim::Cache(config, 3), partitioned);
+    }
+    {
+      SCOPED_TRACE("restore_from");
+      sim::Cache restored(config, 3);
+      restored.begin_set_tracking();
+      const sim::Cache pristine = restored;
+      fill_every_way(restored);
+      access_stream(restored, 11);
+      restored.set_way_partition(2, 0, 2);
+      access_stream(restored, 12);
+      restored.restore_from(pristine);
+      ASSERT_TRUE(restored.empty());
+      expect_matches_fresh(restored, sim::Cache(config, 3), partitioned);
+    }
+  }
+}
+
+TEST_P(ReplacementPolicyTest, CopyOfWarmCacheMatchesOriginal) {
+  sim::Cache warm(small_cache(GetParam()), 3);
+  fill_every_way(warm);
+  access_stream(warm, 1);
+  warm.set_way_partition(2, 1, 2);
+  access_stream(warm, 2);
+  warm.flush_domain(1);  // leaves invalid ways inside occupied sets.
+  sim::Cache copy = warm;
+  sim::Cache assigned(small_cache(GetParam()), 9);
+  fill_every_way(assigned);
+  assigned = warm;
+  sim::CacheConfig other_geometry = small_cache(GetParam());
+  other_geometry.size_bytes *= 2;
+  sim::Cache reshaped(other_geometry, 9);
+  reshaped = warm;
+  const std::vector<std::uint64_t> expected = access_stream(warm, 7);
+  EXPECT_EQ(access_stream(copy, 7), expected) << "copy";
+  EXPECT_EQ(access_stream(assigned, 7), expected) << "assigned over a warm cache";
+  EXPECT_EQ(access_stream(reshaped, 7), expected) << "assigned over another geometry";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementPolicyTest,
                          ::testing::Values(sim::ReplacementPolicy::kLru,
                                            sim::ReplacementPolicy::kTreePlru,

@@ -294,6 +294,40 @@ TEST(MachineSnapshot, CachesResetToEmptyPristineMatchFresh) {
   }
 }
 
+// A server trial that sweeps 1.5x its 4 MiB LLC over the follow-up
+// stream's own addresses leaves a stale line of that stream in nearly every
+// LLC way. The pristine snapshot copied no line bytes (its caches were
+// empty) and the reset copies none back, so only the restored masks stand
+// between those lines and the stream.
+TEST(MachineSnapshot, ServerResetAfterLlcWideTrialMatchesFresh) {
+  const sim::MachineProfile profile = sim::MachineProfile::server();
+  const sim::CacheConfig& llc = profile.hierarchy.llc;
+  constexpr sim::PhysAddr kBase = 0x0010'0000;  // cache_stream's base.
+  sim::Machine pooled(profile, 1);
+  const sim::MachineSnapshot pristine = pooled.snapshot();
+  for (int round = 0; round < 2; ++round) {
+    const sim::PhysAddr sweep = llc.size_bytes / 2 * 3;
+    for (sim::PhysAddr off = 0; off < sweep; off += llc.line_size) {
+      const auto line = off / llc.line_size;
+      pooled.touch(static_cast<sim::CoreId>(line % pooled.num_cores()),
+                   static_cast<sim::DomainId>(line % 3), kBase + off);
+    }
+    std::uint32_t occupied = 0;  // sets holding a line of the sweep's tail.
+    for (std::uint32_t set = 0; set < llc.num_sets(); ++set) {
+      occupied += pooled.caches().llc().probe(kBase + sweep - llc.size_bytes / llc.ways +
+                                              set * llc.line_size)
+                      ? 1
+                      : 0;
+    }
+    ASSERT_GT(occupied, llc.num_sets() * 9 / 10) << "the trial must fill most LLC sets";
+    pooled.reset_to(pristine);
+    pooled.reseed(60 + static_cast<std::uint64_t>(round));
+    ASSERT_TRUE(pooled.caches().llc().empty());
+    sim::Machine fresh(profile, 60 + static_cast<std::uint64_t>(round));
+    ASSERT_EQ(cache_stream(pooled, 9), cache_stream(fresh, 9)) << "after round " << round;
+  }
+}
+
 // ---- decoded-program cache vs snapshot/reset ---------------------------
 
 /// The pooled UopCache hands out shared_ptr<const DecodedProgram>; machine
