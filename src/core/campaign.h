@@ -56,9 +56,6 @@ struct TrialContext {
   MachinePool* machines = nullptr;
 };
 
-/// Runs `config.trials` independent trials of `body` and returns their
-/// results in trial order. `body` must be callable concurrently from
-/// multiple threads and must derive all randomness from its TrialContext.
 namespace detail {
 
 /// Shared per-trial instrumentation: a "trial" span plus the
@@ -77,33 +74,13 @@ struct TrialObs {
 
 }  // namespace detail
 
-template <typename Result>
-std::vector<Result> run_campaign(const CampaignConfig& config,
-                                 const std::function<Result(const TrialContext&)>& body) {
-  std::vector<Result> results(config.trials);
-  MachinePool machines;
-  auto run_on = [&](hwsec::sim::ThreadPool& pool) {
-    pool.parallel_for(config.trials, [&](std::size_t i) {
-      obs::ScopedTimer trial_timer(detail::TrialObs::trial_us());
-      obs::Span trial_span("trial", static_cast<std::int64_t>(i), "trial");
-      results[i] =
-          body(TrialContext{i, hwsec::sim::derive_seed(config.seed, i), nullptr, &machines});
-      detail::TrialObs::completed().add(1);
-    });
-  };
-  if (config.workers == 0) {
-    run_on(hwsec::sim::ThreadPool::shared());  // no per-campaign thread spawn.
-  } else {
-    hwsec::sim::ThreadPool pool(config.workers);
-    run_on(pool);
-  }
-  return results;
-}
-
-/// Same, but reusing a caller-owned pool (avoids per-campaign thread spawn
-/// for repeated small campaigns, e.g. inside a benchmark loop). The
-/// machine pool still lives per call: pooled machines carry no state
-/// between campaigns.
+/// Runs `trials` independent trials of `body` on a caller-owned pool and
+/// returns their results in trial order. `body` must be callable
+/// concurrently from multiple threads and must derive all randomness from
+/// its TrialContext. Reusing the pool avoids a per-campaign thread spawn
+/// for repeated small campaigns (e.g. inside a benchmark loop). The
+/// machine pool lives per call: pooled machines carry no state between
+/// campaigns.
 template <typename Result>
 std::vector<Result> run_campaign(hwsec::sim::ThreadPool& pool, std::uint64_t seed,
                                  std::size_t trials,
@@ -117,6 +94,19 @@ std::vector<Result> run_campaign(hwsec::sim::ThreadPool& pool, std::uint64_t see
     detail::TrialObs::completed().add(1);
   });
   return results;
+}
+
+/// Same, on ThreadPool::shared() when `config.workers` is 0 (no
+/// per-campaign thread spawn) and otherwise on a pool of that many workers.
+template <typename Result>
+std::vector<Result> run_campaign(const CampaignConfig& config,
+                                 const std::function<Result(const TrialContext&)>& body) {
+  if (config.workers == 0) {
+    return run_campaign<Result>(hwsec::sim::ThreadPool::shared(), config.seed, config.trials,
+                                body);
+  }
+  hwsec::sim::ThreadPool pool(config.workers);
+  return run_campaign<Result>(pool, config.seed, config.trials, body);
 }
 
 /// Summary of a campaign of scalar outcomes: count, mean, min, max, sum.

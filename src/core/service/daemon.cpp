@@ -142,14 +142,20 @@ void Daemon::stop() {
     if (t.joinable()) t.join();
   }
   executor_threads_.clear();
-  // Grace: streaming subscriptions notice terminal state within one
-  // progress tick and flush the final kJobResult before we cut them off.
+  // Grace: streaming subscriptions wake when their job goes terminal and
+  // flush the final kJobResult before we cut them off.
   std::this_thread::sleep_for(
       std::min<std::chrono::milliseconds>(2 * config_.progress_interval +
                                               std::chrono::milliseconds(50),
                                           std::chrono::milliseconds(1000)));
-  closing_.store(true, std::memory_order_relaxed);
+  {
+    // Under the lock, so no stream misses the wake-up between its
+    // predicate check and its wait.
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    closing_.store(true, std::memory_order_relaxed);
+  }
   executors_cv_.notify_all();
+  job_finished_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (unix_fd_ >= 0) {
     ::close(unix_fd_);
@@ -391,6 +397,10 @@ void Daemon::handle_attach(int fd, const std::string& payload) {
 
 void Daemon::stream_job(int fd, const std::shared_ptr<Job>& job) {
   static const obs::Counter kDetached = obs::counter("service_detached_streams");
+  const auto finished = [&job] {
+    const JobState state = job->state.load(std::memory_order_acquire);
+    return state == JobState::kDone || state == JobState::kFailed;
+  };
   while (true) {
     const JobState state = job->state.load(std::memory_order_acquire);
     if (state == JobState::kDone || state == JobState::kFailed) break;
@@ -405,8 +415,13 @@ void Daemon::stream_job(int fd, const std::shared_ptr<Job>& job) {
       kDetached.add(1);
       return;
     }
-    if (closing_.load(std::memory_order_relaxed)) return;
-    std::this_thread::sleep_for(config_.progress_interval);
+    // One kJobUpdate per interval while the job runs; the result frame
+    // goes out as soon as the job goes terminal.
+    std::unique_lock<std::mutex> lock(jobs_mutex_);
+    job_finished_cv_.wait_for(lock, config_.progress_interval, [&] {
+      return finished() || closing_.load(std::memory_order_relaxed);
+    });
+    if (!finished() && closing_.load(std::memory_order_relaxed)) return;
   }
   JobResultPayload result;
   {
@@ -518,6 +533,7 @@ void Daemon::run_job(const std::shared_ptr<Job>& job) {
     job->error = std::move(error);
     job->state.store(final_state, std::memory_order_release);
   }
+  job_finished_cv_.notify_all();
   (final_state == JobState::kDone ? kCompleted : kFailedJobs).add(1);
 }
 
@@ -551,6 +567,7 @@ void Daemon::fail_queued_jobs_locked(const std::string& reason) {
     --admitted_per_tenant_[job->spec.tenant];
   }
   queue_.clear();
+  job_finished_cv_.notify_all();
 }
 
 // ---- introspection -----------------------------------------------------

@@ -206,6 +206,9 @@ class Daemon {
 
   mutable std::mutex jobs_mutex_;
   std::condition_variable executors_cv_;
+  /// Notified when a job goes terminal and when closing_ rises: streams
+  /// wait on it between progress frames, so a result goes out at once.
+  std::condition_variable job_finished_cv_;
   std::map<std::string, std::shared_ptr<Job>> jobs_;       ///< by id, all states.
   std::vector<std::shared_ptr<Job>> queue_;                ///< FIFO within arrival.
   std::map<std::string, unsigned> running_per_tenant_;

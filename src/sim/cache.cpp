@@ -75,16 +75,11 @@ Cache& Cache::operator=(const Cache& other) {
   occupied_sets_ = other.occupied_sets_;
   plru_bits_ = other.plru_bits_;
   partition_lut_ = other.partition_lut_;
-  partitions_installed_ = other.partitions_installed_;
   clock_ = other.clock_;
   scramble_key_ = other.scramble_key_;
   rng_ = other.rng_;
   stats_ = other.stats_;
   per_domain_ = other.per_domain_;
-  tracking_ = other.tracking_;
-  epoch_ = other.epoch_;
-  touched_epoch_ = other.touched_epoch_;
-  touched_lines_ = other.touched_lines_;
   copy_valid_lines(other);
   return *this;
 }
@@ -92,12 +87,15 @@ Cache& Cache::operator=(const Cache& other) {
 void Cache::copy_valid_lines(const Cache& other) {
   for (std::uint32_t w = 0; w < other.occupied_sets_.size(); ++w) {
     for (std::uint64_t sets = other.occupied_sets_[w]; sets != 0; sets &= sets - 1) {
-      const std::uint32_t set = (w << 6) + static_cast<std::uint32_t>(std::countr_zero(sets));
-      for (std::uint32_t mask = other.valid_ways_[set]; mask != 0; mask &= mask - 1) {
-        const auto way = static_cast<std::uint32_t>(std::countr_zero(mask));
-        line_at(set, way) = other.line_at(set, way);
-      }
+      copy_set_lines(other, (w << 6) + static_cast<std::uint32_t>(std::countr_zero(sets)));
     }
+  }
+}
+
+void Cache::copy_set_lines(const Cache& other, std::uint32_t set) {
+  for (std::uint32_t mask = other.valid_ways_[set]; mask != 0; mask &= mask - 1) {
+    const auto way = static_cast<std::uint32_t>(std::countr_zero(mask));
+    line_at(set, way) = other.line_at(set, way);
   }
 }
 
@@ -106,18 +104,6 @@ bool Cache::probe(PhysAddr addr) const {
   const std::uint32_t set = set_index(addr);
   for (std::uint32_t mask = valid_ways_[set]; mask != 0; mask &= mask - 1) {
     if (line_at(set, static_cast<std::uint32_t>(std::countr_zero(mask))).tag_base == base) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Cache::probe_owned(PhysAddr addr, DomainId domain) const {
-  const PhysAddr base = line_base(addr);
-  const std::uint32_t set = set_index(addr);
-  for (std::uint32_t mask = valid_ways_[set]; mask != 0; mask &= mask - 1) {
-    const Line& line = line_at(set, static_cast<std::uint32_t>(std::countr_zero(mask)));
-    if (line.tag_base == base && line.owner == domain) {
       return true;
     }
   }
@@ -215,9 +201,8 @@ void Cache::flush_all() {
 void Cache::set_way_partition(DomainId domain, std::uint32_t first_way, std::uint32_t num_ways) {
   ++removal_epoch_;  // the hit predicate (ways_for) changes shape.
   if (num_ways == 0) {
-    if (domain < partition_lut_.size() && partition_lut_[domain].count != 0) {
+    if (domain < partition_lut_.size()) {
       partition_lut_[domain] = {};
-      --partitions_installed_;
     }
     return;
   }
@@ -226,9 +211,6 @@ void Cache::set_way_partition(DomainId domain, std::uint32_t first_way, std::uin
   }
   if (domain >= partition_lut_.size()) {
     partition_lut_.resize(static_cast<std::size_t>(domain) + 1);
-  }
-  if (partition_lut_[domain].count == 0) {
-    ++partitions_installed_;
   }
   partition_lut_[domain] = {first_way, num_ways};
   // Drop lines the domain holds outside its new partition: stale occupancy
@@ -276,27 +258,12 @@ void Cache::reset_stats() {
   per_domain_.clear();
 }
 
-void Cache::begin_set_tracking() {
-  touched_lines_.clear();
-  tracking_ = !empty();
-  if (tracking_) {
-    touched_epoch_.assign(line_count(), 0);
-    epoch_ = 1;
-  } else {
-    std::vector<std::uint8_t>().swap(touched_epoch_);  // snapshots copy it.
-  }
-}
-
 void Cache::restore_from(const Cache& snap) {
   // removal_epoch_ stays monotonic across restores (never rolled back to
   // the snapshot's value): any fetch memo armed against pre-restore state
-  // must observe a change, whichever restore path runs.
+  // must observe a change, whichever path runs.
   const std::uint64_t epoch_after = removal_epoch_ + 1;
-  if (config_.ways != snap.config_.ways || set_mask_ != snap.set_mask_ ||
-      (!tracking_ && !snap.empty())) {
-    // A different geometry, or valid snapshot lines with no journal to
-    // say which of ours differ from them (`snap` was not taken at this
-    // cache's begin_set_tracking()).
+  if (!same_geometry(snap)) {
     *this = snap;
     removal_epoch_ = epoch_after;
     return;
@@ -310,42 +277,37 @@ void Cache::restore_from(const Cache& snap) {
     }
     occupied_sets_[w] = snap.occupied_sets_[w];
   }
-  valid_lines_ = snap.valid_lines_;
-  // Contents: only journaled lines can differ from the snapshot (fills and
-  // hits journal; flushes change masks only). Unarmed, the snapshot holds
-  // no valid line, so no content is observable — PLRU bits included: a
-  // victim is chosen only among valid (so since-restore touched) ways, and
-  // every tree node on a touched way's path was rewritten by that touch. A
-  // node no touched way lies under spans a way interval disjoint from the
-  // contiguous candidate range, and plru_victim clamps any leaf there to
-  // the same end of the range, whatever the stale bits say. A journaled
-  // line whose way is invalid in the snapshot is invalid once the masks
-  // are back, so it is not copied: the snapshot may hold no bytes for it.
-  for (const std::uint32_t index : touched_lines_) {
-    const std::uint32_t set = index / config_.ways;
-    if ((snap.valid_ways_[set] >> (index - set * config_.ways)) & 1u) {
-      lines_[index] = snap.lines_[index];
-    }
-    if (config_.policy == ReplacementPolicy::kTreePlru) {
-      plru_bits_[set] = snap.plru_bits_[set];  // dead state under LRU/random.
+  // Contents, for the sets occupied in the snapshot only (a separate walk
+  // keeps the validity loop free of it: pooled snapshots are empty). A set
+  // occupied only here needs none: its lines are invalid once the mask is
+  // back, and a fill rewrites a line before making it valid again. Its
+  // PLRU word may stay stale: a victim is chosen only among valid (so
+  // since-restore filled) ways, and every tree node on a filled way's
+  // path was rewritten by that fill. A node no filled way lies under spans
+  // a way interval disjoint from the contiguous candidate range, and
+  // plru_victim clamps any leaf there to the same end of the range,
+  // whatever the stale bits say.
+  if (!snap.empty()) {
+    const bool plru = config_.policy == ReplacementPolicy::kTreePlru;
+    for (std::uint32_t w = 0; w < snap.occupied_sets_.size(); ++w) {
+      for (std::uint64_t sets = snap.occupied_sets_[w]; sets != 0; sets &= sets - 1) {
+        const std::uint32_t set = (w << 6) + static_cast<std::uint32_t>(std::countr_zero(sets));
+        copy_set_lines(snap, set);
+        if (plru) {
+          plru_bits_[set] = snap.plru_bits_[set];
+        }
+      }
     }
   }
+  valid_lines_ = snap.valid_lines_;
   removal_epoch_ = epoch_after;
   // Scalar and small per-domain state is cheap enough to restore always.
   partition_lut_ = snap.partition_lut_;
-  partitions_installed_ = snap.partitions_installed_;
   clock_ = snap.clock_;
   scramble_key_ = snap.scramble_key_;
   rng_ = snap.rng_;
   stats_ = snap.stats_;
   per_domain_ = snap.per_domain_;
-  // Re-arm the journal: an epoch bump invalidates all touched_epoch_
-  // stamps without an array-wide clear.
-  touched_lines_.clear();
-  if (tracking_ && ++epoch_ == 0) {
-    std::fill(touched_epoch_.begin(), touched_epoch_.end(), 0u);
-    epoch_ = 1;
-  }
 }
 
 std::uint32_t Cache::choose_victim(std::uint32_t set, WayRange range) {

@@ -21,11 +21,11 @@
 // the mask first, so an invalid line's stale contents can never be
 // observed. That is what keeps snapshot restores cheap: validity-only
 // operations (flush_line, flush_domain, flush_all, partition changes,
-// rekeys) change nothing but masks, and restore_from() puts back the
-// snapshot's masks for every set occupied on either side. The touched-line
-// journal that restores line *contents* (and tree-PLRU bits) is armed only
-// when the snapshot holds valid lines; the machine pool's pristine
-// snapshots are taken with empty caches, so pooled trials never journal.
+// rekeys) change nothing but masks, so restore_from() puts back the
+// snapshot's masks for every set occupied on either side, and copies line
+// contents (and the tree-PLRU word) only for the sets occupied in the
+// snapshot. The machine pool's pristine snapshots are taken with empty
+// caches, so a pooled reset puts back masks and copies no line.
 //
 // Line storage contract: no Line byte is written before the fill that sets
 // its way's valid bit, and none is read while that bit is clear. The line
@@ -33,10 +33,9 @@
 // Line has no member initializers), so building a cache costs its masks,
 // not its lines: a 4 MiB LLC's 1 MiB line array stays untouched host
 // memory until fills reach it. Copies (snapshots, the machine pool's
-// pristine images, restore_from's whole-copy path) carry the masks plus
-// the valid lines of occupied sets only, so copying an empty cache copies
-// no line bytes, and the journal replay copies a line back only if its way
-// is valid in the snapshot. This is not the lazily mapped DRAM that was
+// pristine images) and restores carry the masks plus the valid lines of
+// occupied sets only, so copying or restoring an empty cache copies no
+// line bytes. This is not the lazily mapped DRAM that was
 // rejected for PhysicalMemory: there, the differ's full sweep reads every
 // page and would fault them all in; no cache code walks all lines, and
 // every walk goes through the occupancy bitmaps.
@@ -125,13 +124,12 @@ class Cache {
   /// Always inlined: its callers are hot loops (the CPU data path, probe
   /// sweeps), and inlined into one the cache's configuration stays in
   /// registers across calls.
-  [[gnu::always_inline]] AccessResult access(PhysAddr addr, DomainId domain, AccessType type);
+  /// Reads, writes and fetches look up and fill alike: the model has no
+  /// write-back, so it keeps no dirty state.
+  [[gnu::always_inline]] AccessResult access(PhysAddr addr, DomainId domain);
 
   /// Lookup without side effects: true if the line is present (any domain).
   bool probe(PhysAddr addr) const;
-
-  /// Lookup without side effects restricted to a domain's own lines.
-  bool probe_owned(PhysAddr addr, DomainId domain) const;
 
   /// Invalidates the line containing `addr` if present; returns whether a
   /// line was dropped.
@@ -156,9 +154,6 @@ class Cache {
   /// a partition change cannot leak stale occupancy. Pass num_ways == 0 to
   /// remove the restriction.
   void set_way_partition(DomainId domain, std::uint32_t first_way, std::uint32_t num_ways);
-
-  /// True if a way partition is configured for any domain.
-  bool partitioned() const { return partitions_installed_ > 0; }
 
   /// Number of valid lines currently owned by `domain` in the set that
   /// `addr` maps to. Used by tests and by attack heuristics.
@@ -217,11 +212,10 @@ class Cache {
   std::uint32_t find_way(PhysAddr addr, DomainId domain) const;
 
   /// Replays the side effects of a *hit* previously located by
-  /// find_way(): LRU stamp, PLRU touch, hit counters, touch journal —
-  /// bit-identical to the hit path of access() for a read. Callers must
-  /// ensure removal_epoch() is unchanged since the line was located.
+  /// find_way(): LRU stamp, PLRU touch, hit counters — bit-identical to
+  /// the hit path of access(). Callers must ensure removal_epoch() is
+  /// unchanged since the line was located.
   void repeat_hit(std::uint32_t set, std::uint32_t way, DomainId domain) {
-    mark_touched(set, way);
     line_at(set, way).lru_stamp = ++clock_;
     if (config_.policy == ReplacementPolicy::kTreePlru) {
       touch_plru(set, way);  // mirrors the hit path of access() exactly.
@@ -234,29 +228,20 @@ class Cache {
   const CacheStats& domain_stats(DomainId domain) const;
   void reset_stats();
 
-  /// Marks the current state as the one a later restore_from() returns
-  /// to. Arms the touched-line journal (the cache-array analogue of the
-  /// dirty-page bitmap in PhysicalMemory) only when the cache holds valid
-  /// lines. An empty cache needs none: every line filled afterwards is
-  /// invalid in the snapshot, so putting back the snapshot's way masks is
-  /// the whole restore (see restore_from for why stale PLRU bits are
-  /// unobservable too).
-  void begin_set_tracking();
-
-  /// Restores this cache to the state captured in `snap`, a copy of this
-  /// cache taken right after its most recent begin_set_tracking(). Puts
-  /// back the snapshot's way mask for every set occupied on either side
-  /// (found by walking both occupied_sets_ bitmaps: O(sets/64 + occupied
-  /// sets)), then replays the journal, if armed, for line contents and
-  /// PLRU bits. A snapshot of a different geometry, or a non-empty one
-  /// with no journal armed (one not taken at this cache's restore point),
-  /// is copied whole. The journal is re-armed so the next trial starts
-  /// fresh.
+  /// Restores this cache to the state captured in `snap`, a copy of any
+  /// cache of the same configuration. Walks both occupied_sets_ bitmaps
+  /// (O(sets/64 + occupied sets)): every set occupied on either side gets
+  /// the snapshot's way mask back, and every set occupied in the snapshot
+  /// also gets its valid lines and, under tree-PLRU, its PLRU word. A set
+  /// empty in the snapshot needs nothing more (see the definition for why
+  /// its stale lines and PLRU bits are unobservable), so restoring an
+  /// empty snapshot copies no line. A snapshot of a different geometry is
+  /// copied whole.
   void restore_from(const Cache& snap);
 
  private:
-  /// Field order packs the line into 16 bytes (tag+owner+flags in one
-  /// 8-byte word, stamp in the other): the line array is the simulator's
+  /// Field order packs the line into 16 bytes (tag+owner in one 8-byte
+  /// word, stamp in the other): the line array is the simulator's
   /// hottest data structure and its footprint is what the host's caches
   /// have to absorb on every probe sweep.
   /// Whether the line is valid is not a field: it is the way's bit in
@@ -266,7 +251,6 @@ class Cache {
   struct Line {
     PhysAddr tag_base;  ///< line-aligned physical address.
     DomainId owner;
-    bool dirty;
     std::uint64_t lru_stamp;
   };
 
@@ -299,34 +283,22 @@ class Cache {
   void flush_line_run(PhysAddr first_line, std::uint32_t n);
   std::uint32_t choose_victim(std::uint32_t set, WayRange range);
   std::size_t line_count() const { return std::size_t{set_mask_ + 1} * config_.ways; }
+  /// Same line array and PLRU layout as `other`: restore_from() can then
+  /// work set by set.
+  bool same_geometry(const Cache& other) const {
+    return config_.ways == other.config_.ways && set_mask_ == other.set_mask_ &&
+           line_shift_ == other.line_shift_ && config_.policy == other.config_.policy;
+  }
   /// Copies `other`'s valid lines into this cache's (same-geometry) array.
   void copy_valid_lines(const Cache& other);
+  /// Copies the lines valid in `other`'s set `set` into the same slots here.
+  void copy_set_lines(const Cache& other, std::uint32_t set);
   Line& line_at(std::uint32_t set, std::uint32_t way) { return lines_[set * config_.ways + way]; }
   const Line& line_at(std::uint32_t set, std::uint32_t way) const {
     return lines_[set * config_.ways + way];
   }
   void touch_plru(std::uint32_t set, std::uint32_t way);
   std::uint32_t plru_victim(std::uint32_t set, WayRange range);
-
-  /// Journals one line as touched since the last begin_set_tracking() /
-  /// restore_from(). Granularity is the line, not the set: a trial that
-  /// fills one way of hundreds of large sets (typical probe-array access
-  /// patterns) then restores hundreds of lines, not hundreds of full way
-  /// arrays. The epoch check makes repeat touches O(1) without clearing a
-  /// bitmap per reset. PLRU bits only change alongside a line touch in the
-  /// same set, so the line journal covers them too (restore_from derives
-  /// the set as index / ways).
-  void mark_touched(std::uint32_t set, std::uint32_t way) {
-    if (!tracking_) {
-      return;
-    }
-    const std::uint32_t index = set * config_.ways + way;
-    if (touched_epoch_[index] == epoch_) {
-      return;
-    }
-    touched_epoch_[index] = epoch_;
-    touched_lines_.push_back(index);
-  }
 
   /// Per-domain stats slot, growing the flat array on first sight of a
   /// domain. DomainIds are small dense integers, so a vector indexed by id
@@ -374,23 +346,11 @@ class Cache {
   /// the table — means "unrestricted". Replaces a per-access
   /// unordered_map::find on the hottest path in the simulator.
   std::vector<WayRange> partition_lut_;
-  std::uint32_t partitions_installed_ = 0;
   std::uint64_t clock_ = 0;  ///< LRU stamp source.
   std::uint64_t scramble_key_ = 0;
   Rng rng_;
   CacheStats stats_;
   mutable std::vector<CacheStats> per_domain_;  ///< indexed by DomainId.
-
-  // Touched-line journal (see begin_set_tracking). epoch_ stamps entries
-  // in touched_epoch_ so re-arming after a restore is a counter bump, not
-  // an array-wide clear. Unarmed, touched_epoch_ is empty.
-  bool tracking_ = false;
-  /// u8 on purpose: the stamp array is loaded on every access, and the
-  /// narrow type quarters its footprint. Wrap-around is handled by the
-  /// restore path (a full clear every 255 re-arms).
-  std::uint8_t epoch_ = 0;
-  std::vector<std::uint8_t> touched_epoch_;  ///< per line: epoch of last touch.
-  std::vector<std::uint32_t> touched_lines_;  ///< line indices touched this epoch.
 };
 
 // access() and flush_line() are defined inline: a single probe-array trial
@@ -398,7 +358,7 @@ class Cache {
 // pre-scan flush sweeps every level), so the call overhead and the lost
 // cross-call hoisting were measurable in whole-campaign profiles.
 
-inline Cache::AccessResult Cache::access(PhysAddr addr, DomainId domain, AccessType type) {
+inline Cache::AccessResult Cache::access(PhysAddr addr, DomainId domain) {
   const PhysAddr base = line_base(addr);
   const std::uint32_t set = set_index(addr);
   const WayRange range = ways_for(domain);
@@ -415,11 +375,7 @@ inline Cache::AccessResult Cache::access(PhysAddr addr, DomainId domain, AccessT
     const std::uint32_t w = static_cast<std::uint32_t>(std::countr_zero(mask));
     Line& line = line_at(set, w);
     if (line.tag_base == base) {
-      mark_touched(set, w);  // LRU stamp / dirty bit / PLRU update.
       line.lru_stamp = ++clock_;
-      if (type == AccessType::kWrite) {
-        line.dirty = true;
-      }
       if (config_.policy == ReplacementPolicy::kTreePlru) {
         touch_plru(set, w);  // the tree bits are dead state under LRU/random.
       }
@@ -439,7 +395,6 @@ inline Cache::AccessResult Cache::access(PhysAddr addr, DomainId domain, AccessT
   const std::uint32_t victim_way =
       invalid_ways != 0 ? static_cast<std::uint32_t>(std::countr_zero(invalid_ways))
                         : choose_victim(set, range);
-  mark_touched(set, victim_way);  // fill overwrites the victim line.
   Line& victim = line_at(set, victim_way);
   AccessResult result;
   if (invalid_ways == 0) {
@@ -456,7 +411,6 @@ inline Cache::AccessResult Cache::access(PhysAddr addr, DomainId domain, AccessT
   }
   victim.tag_base = base;
   victim.owner = domain;
-  victim.dirty = (type == AccessType::kWrite);
   victim.lru_stamp = ++clock_;
   if (config_.policy == ReplacementPolicy::kTreePlru) {
     touch_plru(set, victim_way);
@@ -475,8 +429,8 @@ inline bool Cache::flush_line(PhysAddr addr) {
   return flush_in_set(set, addr);
 }
 
-// A flush changes validity only (the way mask), so it is not journaled:
-// restore_from() puts back the masks of every set occupied on either side.
+// A flush changes validity only (the way mask): restore_from() puts back
+// the masks of every set occupied on either side.
 inline bool Cache::flush_in_set(std::uint32_t set, PhysAddr addr) {
   std::uint32_t mask = valid_ways_[set];
   const PhysAddr base = line_base(addr);

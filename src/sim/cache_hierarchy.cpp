@@ -49,23 +49,21 @@ bool CacheHierarchy::excluded(PhysAddr addr, Exclusion scope_at_least) const {
   return false;
 }
 
-MemoryAccessOutcome CacheHierarchy::access_through(Cache* l1, CoreId core, DomainId domain,
-                                                   PhysAddr addr, AccessType type) {
-  (void)core;
+MemoryAccessOutcome CacheHierarchy::access_through(Cache* l1, DomainId domain, PhysAddr addr) {
   Cycle latency = 0;
   const bool skip_all = excluded(addr, Exclusion::kAllLevels);
   const bool skip_shared = excluded(addr, Exclusion::kSharedOnly);
 
   if (l1 != nullptr && !skip_all) {
     latency += l1->config().hit_latency;
-    const auto r = l1->access(addr, domain, type);
+    const auto r = l1->access(addr, domain);
     if (r.hit) {
       return {ServiceLevel::kL1, latency};
     }
   }
   if (llc_ != nullptr && !skip_all && !skip_shared) {
     latency += llc_->config().hit_latency;
-    const auto r = llc_->access(addr, domain, type);
+    const auto r = llc_->access(addr, domain);
     if (!r.hit && config_.inclusive_llc && r.evicted) {
       back_invalidate(r.evicted_line);
     }
@@ -80,16 +78,16 @@ MemoryAccessOutcome CacheHierarchy::access_through(Cache* l1, CoreId core, Domai
 }
 
 MemoryAccessOutcome CacheHierarchy::access(CoreId core, DomainId domain, PhysAddr addr,
-                                           AccessType type) {
+                                           AccessType /*type*/) {
   check_core(core);
   Cache* l1 = config_.has_l1 ? l1d_[core].get() : nullptr;
-  return access_through(l1, core, domain, addr, type);
+  return access_through(l1, domain, addr);
 }
 
 MemoryAccessOutcome CacheHierarchy::fetch(CoreId core, DomainId domain, PhysAddr addr) {
   check_core(core);
   Cache* l1 = config_.has_l1 ? l1i_[core].get() : nullptr;
-  return access_through(l1, core, domain, addr, AccessType::kExecute);
+  return access_through(l1, domain, addr);
 }
 
 bool CacheHierarchy::in_l1d(CoreId core, PhysAddr addr) const {
@@ -205,22 +203,17 @@ void CacheHierarchy::reset_stats() {
   }
 }
 
-CacheHierarchy::Snapshot CacheHierarchy::snapshot() {
+CacheHierarchy::Snapshot CacheHierarchy::snapshot() const {
   Snapshot snap;
   snap.l1d.reserve(l1d_.size());
   snap.l1i.reserve(l1i_.size());
-  // Arm each journal *before* copying, so the copies carry a clean, armed
-  // journal and a full-copy restore re-arms for free.
   for (const auto& c : l1d_) {
-    c->begin_set_tracking();
     snap.l1d.push_back(*c);
   }
   for (const auto& c : l1i_) {
-    c->begin_set_tracking();
     snap.l1i.push_back(*c);
   }
   if (llc_ != nullptr) {
-    llc_->begin_set_tracking();
     snap.llc.push_back(*llc_);
   }
   snap.uncacheable = uncacheable_;

@@ -54,6 +54,8 @@ class CacheHierarchy {
 
   /// Data access by `core` on behalf of `domain`. Every entry point that
   /// takes a core rejects one outside [0, num_cores) with kConfigError.
+  /// `type` does not change the outcome: the caches model no write-back,
+  /// so reads and writes look up and fill alike.
   MemoryAccessOutcome access(CoreId core, DomainId domain, PhysAddr addr, AccessType type);
 
   /// Batched data reads of `count` lines at `base`, `base + stride`, ...:
@@ -123,13 +125,11 @@ class CacheHierarchy {
   /// copy carries its masks, PLRU bits, partition LUT and RNG, plus the
   /// valid lines of occupied sets (no other line is ever read, see
   /// sim/cache.h), so it captures replacement state exactly and a copy of
-  /// an empty cache copies no line bytes. Taking a snapshot marks each
-  /// cache's restore point (Cache::begin_set_tracking), so restore() puts
-  /// back the way masks of occupied sets and only the lines touched since.
-  ///
-  /// The machine pool's pristine snapshots hold empty caches, so their
-  /// restore is journal-free: each cache walks its occupancy bitmaps and
-  /// clears the sets the trial filled (see Cache::restore_from).
+  /// an empty cache copies no line bytes. restore() hands each cache its
+  /// copy (Cache::restore_from): the way masks of every set occupied on
+  /// either side go back, and the lines of the sets occupied in the
+  /// snapshot. The machine pool's pristine snapshots hold empty caches, so
+  /// their restore only clears the sets the trial filled.
   struct Snapshot {
     std::vector<Cache> l1d;
     std::vector<Cache> l1i;
@@ -137,7 +137,7 @@ class CacheHierarchy {
     std::vector<UncacheableRange> uncacheable;
   };
 
-  Snapshot snapshot();
+  Snapshot snapshot() const;
   void restore(const Snapshot& snap);
 
   /// Monotonic counter bumped whenever the uncacheable-range set changes
@@ -153,8 +153,7 @@ class CacheHierarchy {
   }
   [[noreturn]] void throw_bad_core(CoreId core) const;
   bool excluded(PhysAddr addr, Exclusion scope_at_least) const;
-  MemoryAccessOutcome access_through(Cache* l1, CoreId core, DomainId domain, PhysAddr addr,
-                                     AccessType type);
+  MemoryAccessOutcome access_through(Cache* l1, DomainId domain, PhysAddr addr);
   void back_invalidate(PhysAddr line_base);
 
   HierarchyConfig config_;
@@ -172,7 +171,7 @@ void CacheHierarchy::read_lines(CoreId core, DomainId domain, PhysAddr base,
   Cache* const l1 = config_.has_l1 ? l1d_[core].get() : nullptr;
   PhysAddr addr = base;
   for (std::uint32_t i = 0; i < count; ++i, addr += stride) {
-    if (!on_line(access_through(l1, core, domain, addr, AccessType::kRead))) {
+    if (!on_line(access_through(l1, domain, addr))) {
       return;
     }
   }

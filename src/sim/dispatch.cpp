@@ -24,8 +24,8 @@
 //
 // The fetch memo is the per-instruction win: once a pc has fetched through
 // a TLB hit + L1I hit (or has just filled both), the memo replays the hit
-// side effects (LRU stamp, PLRU touch, hit counters, touch journal,
-// latency) via Tlb::repeat_hit / Cache::repeat_hit. Validity is proven by
+// side effects (LRU stamp, PLRU touch, hit counters, latency) via
+// Tlb::repeat_hit / Cache::repeat_hit. Validity is proven by
 // removal epochs checked on EVERY replay — transient windows, inclusive
 // LLC back-invalidation and CLFLUSH can evict the memoized line between
 // any two instructions — plus a packed context word (ASID, domain,

@@ -25,9 +25,8 @@ Tlb::WayRange Tlb::ways_for(Asid asid) const {
 void Tlb::set_way_partition(Asid asid, std::uint32_t first_way, std::uint32_t num_ways) {
   ++removal_epoch_;  // the hit predicate (ways_for) changes shape.
   if (num_ways == 0) {
-    if (asid < partition_lut_.size() && partition_lut_[asid].count != 0) {
+    if (asid < partition_lut_.size()) {
       partition_lut_[asid] = {};
-      --partitions_installed_;
     }
     return;
   }
@@ -36,9 +35,6 @@ void Tlb::set_way_partition(Asid asid, std::uint32_t first_way, std::uint32_t nu
   }
   if (asid >= partition_lut_.size()) {
     partition_lut_.resize(static_cast<std::size_t>(asid) + 1);
-  }
-  if (partition_lut_[asid].count == 0) {
-    ++partitions_installed_;
   }
   partition_lut_[asid] = {first_way, num_ways};
   // Scrub entries the ASID holds outside its new partition.

@@ -118,7 +118,6 @@ class Tlb {
   /// id beyond the table) means "unrestricted". Same flat-LUT idiom as
   /// Cache::partition_lut_ — lookup() runs on the translation hot path.
   std::vector<WayRange> partition_lut_;
-  std::uint32_t partitions_installed_ = 0;
   std::uint64_t clock_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -25,10 +25,10 @@ TEST(Cache, RejectsBadGeometry) {
 
 TEST(Cache, MissThenHit) {
   sim::Cache cache(small_cache());
-  EXPECT_FALSE(cache.access(0x1000, 0, sim::AccessType::kRead).hit);
-  EXPECT_TRUE(cache.access(0x1000, 0, sim::AccessType::kRead).hit);
-  EXPECT_TRUE(cache.access(0x103C, 0, sim::AccessType::kRead).hit) << "same line";
-  EXPECT_FALSE(cache.access(0x1040, 0, sim::AccessType::kRead).hit) << "next line";
+  EXPECT_FALSE(cache.access(0x1000, 0).hit);
+  EXPECT_TRUE(cache.access(0x1000, 0).hit);
+  EXPECT_TRUE(cache.access(0x103C, 0).hit) << "same line";
+  EXPECT_FALSE(cache.access(0x1040, 0).hit) << "next line";
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
@@ -38,10 +38,10 @@ TEST(Cache, LruEvictsOldest) {
   // Set 0 lines: addresses with (addr/64)%16 == 0, i.e. stride 1024.
   const sim::PhysAddr stride = 64 * 16;
   for (sim::PhysAddr i = 0; i < 4; ++i) {
-    cache.access(i * stride, 0, sim::AccessType::kRead);
+    cache.access(i * stride, 0);
   }
-  cache.access(0, 0, sim::AccessType::kRead);  // refresh line 0.
-  const auto r = cache.access(4 * stride, 0, sim::AccessType::kRead);
+  cache.access(0, 0);  // refresh line 0.
+  const auto r = cache.access(4 * stride, 0);
   ASSERT_TRUE(r.evicted);
   EXPECT_EQ(r.evicted_line, stride) << "line 1 was least recently used";
   EXPECT_TRUE(cache.probe(0));
@@ -52,9 +52,9 @@ TEST(Cache, EvictionReportsVictimDomain) {
   sim::Cache cache(small_cache());
   const sim::PhysAddr stride = 64 * 16;
   for (sim::PhysAddr i = 0; i < 4; ++i) {
-    cache.access(i * stride, /*domain=*/7, sim::AccessType::kRead);
+    cache.access(i * stride, /*domain=*/7);
   }
-  const auto r = cache.access(4 * stride, /*domain=*/0, sim::AccessType::kRead);
+  const auto r = cache.access(4 * stride, /*domain=*/0);
   ASSERT_TRUE(r.evicted);
   EXPECT_EQ(r.evicted_domain, 7u);
   EXPECT_EQ(cache.domain_stats(7).evictions, 1u);
@@ -62,15 +62,15 @@ TEST(Cache, EvictionReportsVictimDomain) {
 
 TEST(Cache, FlushLineAndDomainAndAll) {
   sim::Cache cache(small_cache());
-  cache.access(0x1000, 3, sim::AccessType::kRead);
-  cache.access(0x2000, 4, sim::AccessType::kRead);
+  cache.access(0x1000, 3);
+  cache.access(0x2000, 4);
   EXPECT_TRUE(cache.flush_line(0x1000));
   EXPECT_FALSE(cache.probe(0x1000));
   EXPECT_TRUE(cache.probe(0x2000));
-  cache.access(0x3000, 4, sim::AccessType::kRead);
+  cache.access(0x3000, 4);
   EXPECT_EQ(cache.flush_domain(4), 2u);
   EXPECT_FALSE(cache.probe(0x2000));
-  cache.access(0x2000, 4, sim::AccessType::kRead);
+  cache.access(0x2000, 4);
   cache.flush_all();
   EXPECT_FALSE(cache.probe(0x2000));
 }
@@ -82,16 +82,16 @@ TEST(Cache, WayPartitionIsolatesOccupancy) {
   const sim::PhysAddr stride = 64 * 16;
 
   // Enclave fills its two ways in set 0.
-  cache.access(0 * stride, 1, sim::AccessType::kRead);
-  cache.access(1 * stride, 1, sim::AccessType::kRead);
+  cache.access(0 * stride, 1);
+  cache.access(1 * stride, 1);
   // OS hammers the same set with many lines.
   for (sim::PhysAddr i = 2; i < 10; ++i) {
-    cache.access(i * stride, 0, sim::AccessType::kRead);
+    cache.access(i * stride, 0);
   }
   // Enclave lines must have survived: the OS cannot evict across the
   // partition — the Prime+Probe defense property.
-  EXPECT_TRUE(cache.probe_owned(0, 1));
-  EXPECT_TRUE(cache.probe_owned(stride, 1));
+  EXPECT_TRUE(cache.probe(0));
+  EXPECT_TRUE(cache.probe(stride));
   EXPECT_EQ(cache.occupancy(0, 1), 2u);
 }
 
@@ -99,19 +99,19 @@ TEST(Cache, PartitionedDomainCannotHitForeignWays) {
   sim::Cache cache(small_cache());
   cache.set_way_partition(0, 2, 2);  // OS: ways 2-3.
   cache.set_way_partition(1, 0, 2);  // enclave: ways 0-1.
-  cache.access(0x1000, 0, sim::AccessType::kRead);  // lands in ways 2-3.
+  cache.access(0x1000, 0);  // lands in ways 2-3.
   EXPECT_EQ(cache.occupancy(0x1000, 0), 1u);
   // The enclave looks up the same physical line: it sits outside the
   // enclave's ways, so the lookup must miss (no cross-partition hits).
   const auto before = cache.domain_stats(1).misses;
-  cache.access(0x1000, 1, sim::AccessType::kRead);
+  cache.access(0x1000, 1);
   EXPECT_EQ(cache.domain_stats(1).misses, before + 1);
 }
 
 TEST(Cache, PartitionChangeDropsOutOfPartitionLines) {
   sim::Cache cache(small_cache());
   for (sim::PhysAddr i = 0; i < 4; ++i) {
-    cache.access(i * 64 * 16, 5, sim::AccessType::kRead);  // fills ways 0-3.
+    cache.access(i * 64 * 16, 5);  // fills ways 0-3.
   }
   cache.set_way_partition(5, 0, 1);
   EXPECT_LE(cache.occupancy(0, 5), 1u) << "stale occupancy outside the partition must be scrubbed";
@@ -122,8 +122,8 @@ TEST(Cache, RandomReplacementIsSeedDeterministic) {
   sim::Cache b(small_cache(sim::ReplacementPolicy::kRandom), 42);
   const sim::PhysAddr stride = 64 * 16;
   for (sim::PhysAddr i = 0; i < 32; ++i) {
-    const auto ra = a.access(i * stride, 0, sim::AccessType::kRead);
-    const auto rb = b.access(i * stride, 0, sim::AccessType::kRead);
+    const auto ra = a.access(i * stride, 0);
+    const auto rb = b.access(i * stride, 0);
     EXPECT_EQ(ra.evicted, rb.evicted);
     if (ra.evicted && rb.evicted) {
       EXPECT_EQ(ra.evicted_line, rb.evicted_line);
@@ -138,7 +138,7 @@ TEST_P(ReplacementPolicyTest, WorkingSetWithinAssociativityAlwaysHits) {
   const sim::PhysAddr stride = 64 * 16;
   for (int round = 0; round < 3; ++round) {
     for (sim::PhysAddr i = 0; i < 4; ++i) {
-      cache.access(i * stride, 0, sim::AccessType::kRead);
+      cache.access(i * stride, 0);
     }
   }
   // After the first round everything fits: rounds 2-3 are 8 hits.
@@ -150,7 +150,7 @@ TEST_P(ReplacementPolicyTest, OverfilledSetEvicts) {
   sim::Cache cache(small_cache(GetParam()));
   const sim::PhysAddr stride = 64 * 16;
   for (sim::PhysAddr i = 0; i < 8; ++i) {
-    cache.access(i * stride, 0, sim::AccessType::kRead);
+    cache.access(i * stride, 0);
   }
   EXPECT_EQ(cache.stats().evictions, 4u);
   std::uint32_t present = 0;
@@ -162,16 +162,16 @@ TEST_P(ReplacementPolicyTest, OverfilledSetEvicts) {
 
 // ---- snapshot restore --------------------------------------------------
 //
-// restore_from() puts back way masks for every occupied set and replays
-// the touched-line journal only when the snapshot held valid lines (or
-// tree-PLRU bits). Either way the restored cache must be indistinguishable
-// from the snapshot: same hit/miss/eviction sequence and counters on a
-// seeded access stream, even after trials that used every whole-cache
-// operation (flush_domain, flush_all, way partitions, rekeys, batch
-// flushes).
+// restore_from() puts back the way masks of every set occupied on either
+// side, and the lines and tree-PLRU word of every set occupied in the
+// snapshot. The restored cache must be indistinguishable from the
+// snapshot, empty or warm, taken of this cache or of another: same
+// hit/miss/eviction sequence and counters on a seeded access stream, even
+// after trials that used every whole-cache operation (flush_domain,
+// flush_all, way partitions, rekeys, batch flushes).
 
-/// Seeded reads/writes from three domains over lines that overflow a few
-/// sets, recording every result, then the counters.
+/// Seeded accesses from three domains over lines that overflow a few sets,
+/// recording every result, then the counters.
 std::vector<std::uint64_t> access_stream(sim::Cache& cache, std::uint64_t seed) {
   sim::Rng rng(seed);
   std::vector<std::uint64_t> out;
@@ -179,8 +179,10 @@ std::vector<std::uint64_t> access_stream(sim::Cache& cache, std::uint64_t seed) 
     const sim::PhysAddr addr = static_cast<sim::PhysAddr>(rng.below(48)) * 64 * 16 +
                                static_cast<sim::PhysAddr>(rng.below(6)) * 64;
     const auto domain = static_cast<sim::DomainId>(rng.below(3));
-    const auto type = rng.below(4) == 0 ? sim::AccessType::kWrite : sim::AccessType::kRead;
-    const auto r = cache.access(addr, domain, type);
+    // A read/write draw: the cache handles both alike, but each seed keeps
+    // the address sequence these tests were written against.
+    static_cast<void>(rng.below(4));
+    const auto r = cache.access(addr, domain);
     out.push_back(std::uint64_t{r.hit} | std::uint64_t{r.evicted} << 1 |
                   std::uint64_t{r.evicted_domain} << 8 | std::uint64_t{r.evicted_line} << 32);
   }
@@ -220,7 +222,6 @@ void run_trial(sim::Cache& cache, int round) {
 
 TEST_P(ReplacementPolicyTest, RestoreToEmptySnapshotMatchesFreshCache) {
   sim::Cache pooled(small_cache(GetParam()), 3);
-  pooled.begin_set_tracking();
   const sim::Cache pristine = pooled;
   for (int round = 0; round < 8; ++round) {
     run_trial(pooled, round);
@@ -238,10 +239,9 @@ TEST_P(ReplacementPolicyTest, RestoreToEmptySnapshotMatchesFreshCache) {
 
 TEST_P(ReplacementPolicyTest, RestoreToWarmSnapshotMatchesSnapshot) {
   sim::Cache pooled(small_cache(GetParam()), 3);
-  access_stream(pooled, 1);  // the snapshot holds valid, dirty, partitioned state.
+  access_stream(pooled, 1);  // the snapshot holds valid, partitioned state.
   pooled.set_way_partition(2, 1, 2);
   access_stream(pooled, 2);
-  pooled.begin_set_tracking();
   const sim::Cache snap = pooled;
   for (int round = 0; round < 8; ++round) {
     run_trial(pooled, round);
@@ -251,22 +251,24 @@ TEST_P(ReplacementPolicyTest, RestoreToWarmSnapshotMatchesSnapshot) {
   }
 }
 
-TEST_P(ReplacementPolicyTest, RestoreWarmSnapshotWithoutJournalCopiesIt) {
-  // `snap` was never taken at `target`'s restore point, so `target` has no
-  // journal saying which of its lines differ from it.
+TEST_P(ReplacementPolicyTest, RestoreFromAnotherCachesWarmSnapshotMatchesIt) {
+  // `snap` is a copy of another cache (another RNG seed, another history):
+  // `target` holds none of its lines, so every one must come from `snap`.
   sim::Cache source(small_cache(GetParam()), 3);
   access_stream(source, 1);
   const sim::Cache snap = source;
-  for (const bool tracked_empty : {false, true}) {
+  for (const bool own_restore_first : {false, true}) {
     sim::Cache target(small_cache(GetParam()), 5);
-    if (tracked_empty) {
-      target.begin_set_tracking();  // empty: the journal stays unarmed.
+    if (own_restore_first) {
+      const sim::Cache own = target;  // empty: a pooled cache's pristine copy.
+      run_trial(target, 1);
+      target.restore_from(own);
     }
     run_trial(target, 0);
     target.restore_from(snap);
     sim::Cache expected = snap;
     ASSERT_EQ(access_stream(target, 7), access_stream(expected, 7))
-        << "tracked_empty " << tracked_empty;
+        << "own_restore_first " << own_restore_first;
   }
 }
 
@@ -279,13 +281,12 @@ TEST_P(ReplacementPolicyTest, RestoreWarmSnapshotWithoutJournalCopiesIt) {
 // copy of it may ever show them.
 
 /// Fills every way of every set exactly once, ways 0..3 of sets 0..5 with
-/// tags access_stream() asks for, as dirty lines from rotating domains.
+/// tags access_stream() asks for, from rotating domains.
 /// Nothing is evicted, so a random-policy cache draws nothing from its RNG.
 void fill_every_way(sim::Cache& cache) {
   for (sim::PhysAddr set = 0; set < 16; ++set) {
     for (sim::PhysAddr tag = 0; tag < 4; ++tag) {
-      cache.access(tag * 64 * 16 + set * 64, static_cast<sim::DomainId>((set + tag) % 3),
-                   sim::AccessType::kWrite);
+      cache.access(tag * 64 * 16 + set * 64, static_cast<sim::DomainId>((set + tag) % 3));
     }
   }
 }
@@ -331,7 +332,6 @@ TEST_P(ReplacementPolicyTest, EmptiedCacheAndItsCopiesMatchFreshCache) {
     {
       SCOPED_TRACE("restore_from");
       sim::Cache restored(config, 3);
-      restored.begin_set_tracking();
       const sim::Cache pristine = restored;
       fill_every_way(restored);
       access_stream(restored, 11);

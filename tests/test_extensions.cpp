@@ -126,7 +126,7 @@ TEST(RandomizedMapping, ScrambleSpreadsCongruentLinesAndRekeyFlushes) {
     }
   }
   EXPECT_GT(distinct, 32u) << "keyed mapping must break identity congruence classes";
-  cache.access(0, 0, sim::AccessType::kRead);
+  cache.access(0, 0);
   ASSERT_TRUE(cache.probe(0));
   cache.rekey(0xBEEF);
   EXPECT_FALSE(cache.probe(0)) << "a remap epoch invalidates placements";

@@ -112,8 +112,9 @@ Fingerprint run_workload(sim::Machine& m) {
 
 /// The actual equivalence check. Two fresh machines establish that the
 /// workload is deterministic at all; the third machine then runs it via
-/// snapshot → run → reset_to + reseed → run (twice, to catch journal
-/// re-arming bugs) and every run must reproduce the fresh fingerprint.
+/// snapshot → run → reset_to + reseed → run (twice, to catch state a
+/// reset fails to re-arm, such as dirty-page tracking) and every run must
+/// reproduce the fresh fingerprint.
 template <typename Arch>
 void expect_reset_matches_fresh(const sim::MachineProfile& profile, std::uint64_t seed) {
   sim::Machine fresh_a(profile, seed);
@@ -208,7 +209,7 @@ TEST(MachineSnapshot, UntrackedMemoryRestoresEveryPage) {
 // ---- cache hierarchy vs the pool's empty pristine snapshot -------------
 //
 // A pooled machine's pristine snapshot holds empty caches, so its restore
-// journals nothing: each cache puts back the way masks of the sets the
+// copies no line: each cache puts back the way masks of the sets the
 // trial occupied. After trials that use every whole-cache operation the
 // reset machine must still replay a seeded access stream — hit levels,
 // latencies, per-cache counters — exactly like a freshly built one.
@@ -325,6 +326,32 @@ TEST(MachineSnapshot, ServerResetAfterLlcWideTrialMatchesFresh) {
     ASSERT_TRUE(pooled.caches().llc().empty());
     sim::Machine fresh(profile, 60 + static_cast<std::uint64_t>(round));
     ASSERT_EQ(cache_stream(pooled, 9), cache_stream(fresh, 9)) << "after round " << round;
+  }
+}
+
+// A snapshot of a warm machine holds valid lines in every level, so its
+// restore must also copy back the lines and PLRU words of the sets it
+// occupies. A twin machine warmed the same way never snapshots; after
+// trials that flush, partition and rekey, the restored machine must replay
+// a seeded stream exactly as the twin does.
+TEST(MachineSnapshot, WarmSnapshotResetReplaysLikeTheSnapshot) {
+  for (const sim::MachineProfile& profile :
+       {sim::MachineProfile::server(), sim::MachineProfile::mobile()}) {
+    SCOPED_TRACE(profile.name);
+    sim::Machine pooled(profile, 1);
+    sim::Machine twin(profile, 1);
+    cache_stream(pooled, 3);
+    cache_stream(twin, 3);
+    const sim::MachineSnapshot snap = pooled.snapshot();
+    const Fingerprint expected = cache_stream(twin, 9);
+    ASSERT_EQ(cache_stream(pooled, 9), expected) << "taking the snapshot changed the machine";
+    for (int reuse = 0; reuse < 2; ++reuse) {
+      cache_trial(pooled, 0);  // flush_domain + flush_lines.
+      cache_trial(pooled, 1);  // LLC way partition.
+      cache_trial(pooled, 2);  // LLC rekey.
+      pooled.reset_to(snap);
+      ASSERT_EQ(cache_stream(pooled, 9), expected) << "reuse #" << reuse;
+    }
   }
 }
 

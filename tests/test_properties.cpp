@@ -46,8 +46,8 @@ TEST_P(CacheGeometryTest, SecondAccessToSameLineAlwaysHits) {
   sim::Rng rng(1);
   for (int i = 0; i < 200; ++i) {
     const sim::PhysAddr addr = static_cast<sim::PhysAddr>(rng.below(1 << 24));
-    cache.access(addr, 0, sim::AccessType::kRead);
-    EXPECT_TRUE(cache.access(addr, 0, sim::AccessType::kRead).hit) << std::hex << addr;
+    cache.access(addr, 0);
+    EXPECT_TRUE(cache.access(addr, 0).hit) << std::hex << addr;
   }
 }
 
@@ -55,7 +55,7 @@ TEST_P(CacheGeometryTest, SetOccupancyNeverExceedsWays) {
   sim::Cache cache = make();
   sim::Rng rng(2);
   for (int i = 0; i < 2000; ++i) {
-    cache.access(static_cast<sim::PhysAddr>(rng.below(1 << 22)), 3, sim::AccessType::kRead);
+    cache.access(static_cast<sim::PhysAddr>(rng.below(1 << 22)), 3);
   }
   for (sim::PhysAddr probe = 0; probe < (1 << 22); probe += 4096 + 64) {
     ASSERT_LE(cache.occupancy(probe, 3), GetParam().ways);
@@ -69,7 +69,7 @@ TEST_P(CacheGeometryTest, CongruentFillKeepsExactlyWaysLines) {
   const sim::PhysAddr stride = g.line * sets;  // same set, different tags.
   const std::uint32_t n = g.ways + 5;
   for (std::uint32_t i = 0; i < n; ++i) {
-    cache.access(i * stride, 0, sim::AccessType::kRead);
+    cache.access(i * stride, 0);
   }
   std::uint32_t present = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -84,7 +84,7 @@ TEST_P(CacheGeometryTest, FlushAllEmptiesEverything) {
   std::vector<sim::PhysAddr> touched;
   for (int i = 0; i < 200; ++i) {
     const sim::PhysAddr addr = static_cast<sim::PhysAddr>(rng.below(1 << 22));
-    cache.access(addr, 0, sim::AccessType::kRead);
+    cache.access(addr, 0);
     touched.push_back(addr);
   }
   cache.flush_all();
@@ -98,7 +98,7 @@ TEST_P(CacheGeometryTest, StatsBalance) {
   sim::Rng rng(4);
   const std::uint64_t accesses = 3000;
   for (std::uint64_t i = 0; i < accesses; ++i) {
-    cache.access(static_cast<sim::PhysAddr>(rng.below(1 << 20)), 0, sim::AccessType::kRead);
+    cache.access(static_cast<sim::PhysAddr>(rng.below(1 << 20)), 0);
   }
   EXPECT_EQ(cache.stats().hits + cache.stats().misses, accesses);
   EXPECT_LE(cache.stats().evictions, cache.stats().misses);
